@@ -40,11 +40,6 @@ val disabled_overhead_limit_pct : float
     observability layer's promise that leaving the wrapper installed in
     a production build costs nothing measurable. *)
 
-val pifo_overhead_limit : float
-(** The multiplicative budget the rank-program SFQ must stay within of
-    hand-written sfq-fast ns/packet (1.15): programmability may cost a
-    bounded dispatch premium, never more. *)
-
 val validate : string -> (unit, string) result
 (** [validate contents] checks a whole document: well-formed JSON,
     [schema = "sfq-bench-sched/7"] (the previous /6 is
@@ -57,9 +52,8 @@ val validate : string -> (unit, string) result
     largest flow count, and every sp-pifo row must carry its positive
     measured-unfairness budget and fairness bound — a [pifo] series
     carrying the pifo-sfq/pifo-scfq/pifo-vc rank-program rows, in
-    which pifo-sfq must report exactly zero allocations per packet and
-    stay within {!pifo_overhead_limit} of the fastpath series'
-    sfq-fast at the largest flow count, a [tracing_overhead] series
+    which pifo-sfq must report exactly zero allocations per packet, a
+    [tracing_overhead] series
     carrying all four modes (untraced/disabled/ring/jsonl) whose
     disabled row must respect {!disabled_overhead_limit_pct}, and a
     [parallel] series (the serial-vs-pool oracle-sweep timing) every

@@ -232,7 +232,7 @@ let fill_drain_samples ~quick ~nflows ~depth make_sched =
   !samples
 
 (* ------------------------------------------------------------------ *)
-(* E25: the fixed-point fast path — ns/packet and allocations/packet,
+(* E25: the fixed-point disciplines — ns/packet and allocations/packet,
    and the measured fairness budget of the approximate sp-pifo.        *)
 
 type fastpath_row = {
@@ -254,21 +254,32 @@ let fastpath_flow_counts = [ 64; 512 ]
    interior — tag arithmetic, heap, per-flow state, option boxes — and
    never charge packet construction to either side. Depth-1 prefill
    matches the flow_scaling series. *)
+let native nflows enq deq =
+  let pkts =
+    Array.init nflows (fun f -> Packet.make ~flow:f ~seq:1 ~len:1000 ~born:0.0 ())
+  in
+  Array.iter enq pkts;
+  let flow = ref 0 in
+  fun () ->
+    let f = !flow in
+    flow := (f + 1) mod nflows;
+    enq pkts.(f);
+    deq ()
+
+(* A rank program on the PIFO runtime, through its native API. *)
+let native_pifo nflows prog =
+  let open Sfq_pifo in
+  let t = Pifo_sched.create prog in
+  native nflows
+    (fun p -> Pifo_sched.enqueue t ~now:0.0 p)
+    (fun () -> ignore (Pifo_sched.dequeue_exn t))
+
+(* The *-fast rows time the engine Disc serves under those names: the
+   exact rank programs on the PIFO runtime. *)
 let fastpath_steppers nflows =
   let weights = Weights.uniform 1000.0 in
-  let native enq deq =
-    let pkts =
-      Array.init nflows (fun f -> Packet.make ~flow:f ~seq:1 ~len:1000 ~born:0.0 ())
-    in
-    Array.iter enq pkts;
-    let flow = ref 0 in
-    fun () ->
-      let f = !flow in
-      flow := (f + 1) mod nflows;
-      enq pkts.(f);
-      deq ()
-  in
-  let open Sfq_fastpath in
+  let native = native nflows in
+  let open Sfq_pifo in
   [
     ( "sfq",
       fun () ->
@@ -276,36 +287,21 @@ let fastpath_steppers nflows =
         native
           (fun p -> Sfq_core.Sfq.enqueue t ~now:0.0 p)
           (fun () -> ignore (Sfq_core.Sfq.dequeue t ~now:0.0)) );
-    ( "sfq-fast",
-      fun () ->
-        let t = Sfq_fast.create weights in
-        native
-          (fun p -> Sfq_fast.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Sfq_fast.dequeue_exn t)) );
+    ("sfq-fast", fun () -> native_pifo nflows (Programs.sfq weights));
     ( "scfq",
       fun () ->
         let t = Scfq.create weights in
         native
           (fun p -> Scfq.enqueue t ~now:0.0 p)
           (fun () -> ignore (Scfq.dequeue t ~now:0.0)) );
-    ( "scfq-fast",
-      fun () ->
-        let t = Scfq_fast.create weights in
-        native
-          (fun p -> Scfq_fast.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Scfq_fast.dequeue_exn t)) );
+    ("scfq-fast", fun () -> native_pifo nflows (Programs.scfq weights));
     ( "virtual-clock",
       fun () ->
         let t = Virtual_clock.create weights in
         native
           (fun p -> Virtual_clock.enqueue t ~now:0.0 p)
           (fun () -> ignore (Virtual_clock.dequeue t ~now:0.0)) );
-    ( "vc-fast",
-      fun () ->
-        let t = Virtual_clock_fast.create weights in
-        native
-          (fun p -> Virtual_clock_fast.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Virtual_clock_fast.dequeue_exn t)) );
+    ("vc-fast", fun () -> native_pifo nflows (Programs.virtual_clock weights));
     ( "sp-pifo",
       fun () ->
         let t = Sp_pifo.create weights in
@@ -315,32 +311,16 @@ let fastpath_steppers nflows =
   ]
 
 (* E26: the same disciplines as rank programs on the shared PIFO
-   runtime (lib/pifo). Identical stepper shape and flow counts as the
-   fastpath series, so pifo-sfq vs sfq-fast isolates the runtime
-   premium — closure dispatch per rank call, the regs cell, the
-   runtime's own tie cache — on top of the very same tag arithmetic
-   and heap. The validator holds this premium to 15% and the
-   allocation column to exactly zero. *)
+   runtime (lib/pifo), under their rank-program names. Identical
+   stepper shape and flow counts as the fastpath series; the validator
+   holds the allocation column to exactly zero. *)
 let pifo_steppers nflows =
   let weights = Weights.uniform 1000.0 in
   let open Sfq_pifo in
-  let native prog =
-    let t = Pifo_sched.create prog in
-    let pkts =
-      Array.init nflows (fun f -> Packet.make ~flow:f ~seq:1 ~len:1000 ~born:0.0 ())
-    in
-    Array.iter (fun p -> Pifo_sched.enqueue t ~now:0.0 p) pkts;
-    let flow = ref 0 in
-    fun () ->
-      let f = !flow in
-      flow := (f + 1) mod nflows;
-      Pifo_sched.enqueue t ~now:0.0 pkts.(f);
-      ignore (Pifo_sched.dequeue_exn t)
-  in
   [
-    ("pifo-sfq", fun () -> native (Programs.sfq weights));
-    ("pifo-scfq", fun () -> native (Programs.scfq weights));
-    ("pifo-vc", fun () -> native (Programs.virtual_clock weights));
+    ("pifo-sfq", fun () -> native_pifo nflows (Programs.sfq weights));
+    ("pifo-scfq", fun () -> native_pifo nflows (Programs.scfq weights));
+    ("pifo-vc", fun () -> native_pifo nflows (Programs.virtual_clock weights));
   ]
 
 (* Allocation rate measured over its own window, after warmup and a
@@ -372,10 +352,10 @@ let sp_pifo_budget ~quick () =
     (fun i (w : O.Workload.t) ->
       if i < n then begin
         let s =
-          Sfq_fastpath.Sp_pifo.create (Weights.of_list ~default:1.0 w.O.Workload.weights)
+          Sfq_pifo.Sp_pifo.create (Weights.of_list ~default:1.0 w.O.Workload.weights)
         in
         let m, budget = O.Monitor.fairness_measured ~rate:(O.Workload.rate_of w) () in
-        ignore (O.Run.fixed_rate ~sched:(Sfq_fastpath.Sp_pifo.sched s) ~monitors:[ m ] w);
+        ignore (O.Run.fixed_rate ~sched:(Sfq_pifo.Sp_pifo.sched s) ~monitors:[ m ] w);
         let b = budget () in
         if b.O.Monitor.max_excess > !worst.O.Monitor.max_excess then worst := b
       end)
@@ -946,16 +926,16 @@ let run_micro ~quick ~domains () =
   print_endline
     "(Native-API steppers: preallocated packets, constant clock, exn dequeues,\n\
     \ so the float-vs-fixed-point rows compare scheduler interiors only. The\n\
-    \ fast schedulers allocate nothing in steady state — the validator fails\n\
+    \ -fast rows are the rank programs on the PIFO runtime; they allocate\n\
+    \ nothing in steady state — the validator fails\n\
     \ the file if sfq-fast's allocation column ever leaves 0.000, or if it\n\
     \ stops beating float sfq at 512 flows. sp-pifo's unfairness column is the\n\
     \ worst measured Theorem-1 excess over the frozen theorem pool: the price\n\
     \ of approximate rank order, recorded next to its speed.)";
   print_newline ();
-  section "E26: PIFO rank-program runtime vs the hand-written fast path";
+  section "E26: PIFO rank-program runtime";
   (* audit (parallel safety): serial for the same reason as E25 — the
-     allocation counter is process-global and the 15% pifo-sfq-vs-
-     sfq-fast gate in bench_json needs an uncontended core. *)
+     allocation counter is process-global. *)
   let pifo = pifo_rows ~quick () in
   let ptable0 =
     Text_table.create [ "discipline"; "flows"; "ns/packet"; "allocs/packet" ]
@@ -972,12 +952,10 @@ let run_micro ~quick ~domains () =
     pifo;
   Text_table.print ptable0;
   print_endline
-    "(The same disciplines expressed as ~20-line rank programs on the shared\n\
-    \ PIFO runtime (lib/pifo), under the same stepper as E25. The gap to the\n\
-    \ corresponding -fast row is the price of programmability: one closure\n\
-    \ dispatch per rank call against preallocated per-flow state. The\n\
-    \ validator rejects the file if pifo-sfq drifts more than 15% above\n\
-    \ sfq-fast at the largest flow count or ever allocates per packet.)";
+    "(The same disciplines as ~20-line rank programs on the shared PIFO\n\
+    \ runtime (lib/pifo), under their rank-program names and the same\n\
+    \ stepper as E25; the -fast rows of E25 run this very engine. The\n\
+    \ validator rejects the file if pifo-sfq ever allocates per packet.)";
   print_newline ();
   section
     (Printf.sprintf "E22: sfq.obs tracer overhead (SFQ, %d flows x %d deep)"

@@ -124,6 +124,14 @@ let disciplines =
     "fqs"; "wf2q"; "fair-airport"; "sfq-fast"; "scfq-fast"; "vc-fast"; "sp-pifo";
     "pifo-sfq"; "pifo-scfq"; "pifo-vc"; "pifo-fqs"; "pifo-wf2q" ]
 
+(* A rank program on the PIFO runtime with its v(t) sampler; [name]
+   overrides the program's own, as Disc does for the *-fast names. *)
+let pifo ?name program =
+  let t = Sfq_pifo.Pifo_sched.create program in
+  let s = Sfq_pifo.Pifo_sched.sched t in
+  let s = match name with Some name -> { s with Sched.name } | None -> s in
+  (s, Some (fun () -> Sfq_pifo.Pifo_sched.vtime t))
+
 (* Returns the sched, a v(t) sampler when the discipline has one, and
    — for SFQ — wires the tag hook so Tag events carry real tags. *)
 let make_sched name tracer (w : Workload.t) =
@@ -139,21 +147,13 @@ let make_sched name tracer (w : Workload.t) =
   | "scfq" ->
     let t = Sfq_sched.Scfq.create weights in
     (Sfq_sched.Scfq.sched t, Some (fun () -> Sfq_sched.Scfq.vtime t))
-  | "sfq-fast" ->
-    let t = Sfq_fastpath.Sfq_fast.create weights in
-    (Sfq_fastpath.Sfq_fast.sched t, Some (fun () -> Sfq_fastpath.Sfq_fast.vtime t))
-  | "scfq-fast" ->
-    let t = Sfq_fastpath.Scfq_fast.create weights in
-    (Sfq_fastpath.Scfq_fast.sched t, Some (fun () -> Sfq_fastpath.Scfq_fast.vtime t))
+  | "sfq-fast" -> pifo ~name (Sfq_pifo.Programs.sfq weights)
+  | "scfq-fast" -> pifo ~name (Sfq_pifo.Programs.scfq weights)
+  | "pifo-sfq" -> pifo (Sfq_pifo.Programs.sfq weights)
+  | "pifo-scfq" -> pifo (Sfq_pifo.Programs.scfq weights)
   | "sp-pifo" ->
-    let t = Sfq_fastpath.Sp_pifo.create weights in
-    (Sfq_fastpath.Sp_pifo.sched t, Some (fun () -> Sfq_fastpath.Sp_pifo.vtime t))
-  | "pifo-sfq" ->
-    let t = Sfq_pifo.Pifo_sched.create (Sfq_pifo.Programs.sfq weights) in
-    (Sfq_pifo.Pifo_sched.sched t, Some (fun () -> Sfq_pifo.Pifo_sched.vtime t))
-  | "pifo-scfq" ->
-    let t = Sfq_pifo.Pifo_sched.create (Sfq_pifo.Programs.scfq weights) in
-    (Sfq_pifo.Pifo_sched.sched t, Some (fun () -> Sfq_pifo.Pifo_sched.vtime t))
+    let t = Sfq_pifo.Sp_pifo.create weights in
+    (Sfq_pifo.Sp_pifo.sched t, Some (fun () -> Sfq_pifo.Sp_pifo.vtime t))
   | name ->
     let spec =
       match name with

@@ -18,12 +18,15 @@ type spec =
   | Virtual_clock
   | Fair_airport
   | Fifo
-  | Sfq_fast  (** fixed-point SFQ ({!Sfq_fastpath.Sfq_fast}), default quantum *)
-  | Scfq_fast
+  | Sfq_fast
+      (** fixed-point SFQ, default quantum: the PIFO runtime running
+          {!Sfq_pifo.Programs.sfq}, under the name ["sfq-fast"] *)
+  | Scfq_fast  (** {!Sfq_pifo.Programs.scfq} on the runtime, named ["scfq-fast"] *)
   | Virtual_clock_fast
+      (** {!Sfq_pifo.Programs.virtual_clock} on the runtime, named ["vc-fast"] *)
   | Sp_pifo of { banks : int }
       (** approximate rank order on [banks] strict-priority FIFOs
-          ({!Sfq_fastpath.Sp_pifo}) *)
+          ({!Sfq_pifo.Sp_pifo}) *)
   | Pifo_sfq  (** SFQ as a rank program on the PIFO runtime ({!Sfq_pifo.Programs}) *)
   | Pifo_scfq
   | Pifo_vc

@@ -202,7 +202,8 @@ let stress_cells ?(pool = stress_pool) () =
            (discipline_factories w))
        pool)
 
-(* Fast-path cells: the exact fixed-point schedulers face the same
+(* Fast-path cells: the *-fast disciplines (the exact rank programs on
+   the Pifo_sched runtime, under their historical names) face the same
    theorem sets as their float originals (equivalence is the point, so
    any quantization-induced violation must surface); vc-fast, like the
    float Virtual Clock, only carries structural invariants; sp-pifo is
@@ -210,24 +211,20 @@ let stress_cells ?(pool = stress_pool) () =
    plus the *relaxed* fairness oracle, which measures a budget and
    never fails. *)
 let fastpath_cells ?(pool = theorem_pool) () =
-  let open Sfq_fastpath in
+  let open Sfq_pifo in
+  let fast name prog =
+    let s = Pifo_sched.create prog in
+    ({ (Pifo_sched.sched s) with Sched.name }, fun () -> Pifo_sched.vtime s)
+  in
   cells ~what:"sfq-fast" pool ~driver:(fun w ->
-      let s = Sfq_fast.create (weights_of w) in
-      {
-        Run.sched = Sfq_fast.sched s;
-        monitors = sfq_set w ~vtime:(fun () -> Sfq_fast.vtime s);
-        on_reweight = None;
-      })
+      let sched, vtime = fast "sfq-fast" (Programs.sfq (weights_of w)) in
+      { Run.sched; monitors = sfq_set w ~vtime; on_reweight = None })
   @ cells ~what:"scfq-fast" pool ~driver:(fun w ->
-        let s = Scfq_fast.create (weights_of w) in
-        {
-          Run.sched = Scfq_fast.sched s;
-          monitors = scfq_set w ~vtime:(fun () -> Scfq_fast.vtime s);
-          on_reweight = None;
-        })
+        let sched, vtime = fast "scfq-fast" (Programs.scfq (weights_of w)) in
+        { Run.sched; monitors = scfq_set w ~vtime; on_reweight = None })
   @ cells ~what:"vc-fast" pool ~driver:(fun w ->
-        let s = Virtual_clock_fast.create (weights_of w) in
-        { Run.sched = Virtual_clock_fast.sched s; monitors = structural (); on_reweight = None })
+        let sched, _ = fast "vc-fast" (Programs.virtual_clock (weights_of w)) in
+        { Run.sched; monitors = structural (); on_reweight = None })
   @ cells ~what:"sp-pifo" pool ~driver:(fun w ->
         let s = Sp_pifo.create (weights_of w) in
         let sched = Sp_pifo.sched s in

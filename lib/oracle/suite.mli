@@ -70,8 +70,10 @@ val stress_cells : ?pool:Workload.t list -> unit -> Run.cell list
     {!stress_pool} by default; labels ["<disc>+stress#i"]. *)
 
 val fastpath_cells : ?pool:Workload.t list -> unit -> Run.cell list
-(** The fixed-point fast path over [pool] (default {!theorem_pool}):
-    sfq-fast under the full SFQ theorem set, scfq-fast under the SCFQ
+(** The fixed-point disciplines over [pool] (default {!theorem_pool}):
+    sfq-fast (the {!Sfq_pifo.Pifo_sched} runtime running
+    {!Sfq_pifo.Programs.sfq}, as [Disc] builds it) under the full SFQ
+    theorem set, scfq-fast under the SCFQ
     set, vc-fast under the structural invariants, and sp-pifo under
     structural + conservation + the {e relaxed} fairness oracle
     ({!Monitor.fairness_measured}, which records a budget and never

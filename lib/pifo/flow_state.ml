@@ -1,5 +1,4 @@
 open Sfq_base
-open Sfq_fastpath
 
 type t = {
   weights : Weights.t;
@@ -26,7 +25,8 @@ let grow t flow =
   Array.blit t.sor 0 sor 0 n;
   t.sor <- sor
 
-(* Cold path: first packet of a flow activation (see Sfq_fast). *)
+(* Cold path: first packet of a flow activation. Reads the weight
+   function (a boxed-float closure call), never on the steady path. *)
 let activate t flow =
   t.sor.(flow) <- Tag.scale_over t.codec ~rate:(Weights.get t.weights flow)
 
@@ -38,9 +38,8 @@ let ensure t flow =
   if flow >= Array.length t.tag then grow t flow;
   if t.sor.(flow) <= 0.0 then activate t flow
 
-(* The delta multiply+round is written out inline in both branches, as
-   in the hand-written fast-path schedulers, so no float crosses a
-   function boundary on the steady path. *)
+(* The delta multiply+round is written out inline in both branches, so
+   no float crosses a function boundary on the steady path. *)
 let delta t pkt =
   ensure t pkt.Packet.flow;
   let sor = t.sor.(pkt.Packet.flow) in
@@ -69,11 +68,10 @@ let delta_reserved t pkt =
 
 (* Fused per-packet updates for the common rank-program shapes. Each
    does the whole grow/activate/delta/read/max/add/store sequence in
-   one body behind a single module-boundary call, mirroring the
-   hand-written fast-path enqueues — the separate delta/get/set
-   entry points above cost three calls and three bounds checks per
-   packet, which is most of the rank-program dispatch premium the
-   bench validator budgets. The stored tag lands in [t.last] so the
+   one body behind a single module-boundary call — the separate
+   delta/get/set entry points above cost three calls and three bounds
+   checks per packet, which is most of the rank-program dispatch
+   premium. The stored tag lands in [t.last] so the
    caller can publish it (e.g. into [regs.aux]) without a tuple. *)
 
 let advance t ~floor pkt =

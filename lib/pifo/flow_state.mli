@@ -1,29 +1,28 @@
 (** Dense fixed-point per-flow state for rank programs.
 
-    The factored-out array layout of {!Sfq_fastpath.Sfq_fast}: one int
-    tag slot per flow (finish tag, EAT floor — whatever the program
-    stores) and a cached [scale /. rate] float so a packet's virtual
-    length is one multiply + round. Every operation keeps its floats
+    One int tag slot per flow (finish tag, EAT floor — whatever the
+    program stores) and a cached [scale /. rate] float so a packet's
+    virtual length is one multiply + round. Every operation keeps its floats
     internal — arguments and results are ints or pointers — so a rank
     program built on this module stays allocation-free in steady state
     even across the module boundary (nothing here forces a float box).
 
-    Growth, activation (first packet of a flow since creation or
-    close) and the [Weights.get] snapshot behave exactly as in the
-    hand-written fast-path schedulers: the weight function is read
-    once per flow activation and cached until {!forget}, which is the
-    documented fast-path divergence from the float originals under
-    mid-backlog reweighting. *)
+    Activation is the first packet of a flow since creation or
+    {!forget}: the weight function is read then and cached until
+    {!forget}. This is the documented divergence of the fixed-point
+    disciplines from their float originals, which re-read the weight
+    on every packet, so a mid-backlog reweight applies there at once
+    and here only after the flow is closed. *)
 
 open Sfq_base
 
 type t
 
 val create : ?frac_bits:int -> Weights.t -> t
-(** Fresh state over a {!Sfq_fastpath.Tag} codec with [frac_bits]
+(** Fresh state over a {!Tag} codec with [frac_bits]
     fractional bits (default 20). *)
 
-val codec : t -> Sfq_fastpath.Tag.t
+val codec : t -> Tag.t
 
 val delta : t -> Packet.t -> int
 (** The packet's tag increment [round (len * scale / rate)], clamped to
@@ -46,9 +45,8 @@ val advance : t -> floor:int -> Packet.t -> int
     slot, and return [stag]. The stored finish tag is readable via
     {!last}. Semantically identical to
     [delta]/[get]/[max]/[sat_add]/[set] but one module-boundary call
-    and one bounds check instead of three of each — the rank-program
-    hot path's answer to the hand-written schedulers' inlined
-    enqueue. *)
+    and one bounds check instead of three of each on the rank-program
+    hot path. *)
 
 val advance_reserved : t -> floor:int -> Packet.t -> int
 (** {!advance} pricing every packet at the flow's reserved rate
@@ -74,7 +72,7 @@ val set : t -> Packet.flow -> int -> unit
 val now_tag : t -> float -> int
 (** Real time encoded as a tag: [round (now * scale)], negative clocks
     clamping to 0 (the slot default) and the rail saturating — the
-    {!Sfq_fastpath.Virtual_clock_fast} convention. *)
+    Virtual Clock convention of {!advance_eat}. *)
 
 val clear : t -> unit
 (** Zero every tag slot, keeping rate caches — SCFQ's idle reset. *)

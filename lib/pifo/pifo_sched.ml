@@ -1,15 +1,13 @@
 open Sfq_util
 open Sfq_base
 open Sfq_sched
-open Sfq_fastpath
 
 type t = {
   prog : Rank_program.t;
   regs : Rank_program.regs;  (* prog.regs, cached to skip a load *)
   (* The per-packet program hooks, cached out of [prog] at creation:
      [t.prog.Rank_program.rank] is two dependent loads per packet,
-     [t.rank] is one — the kind of indirection the bench validator's
-     dispatch-premium budget charges for. *)
+     [t.rank] is one. *)
   rank : now:float -> Packet.t -> int;
   on_dequeue : key:int -> aux:int -> empty:bool -> unit;
   on_idle : unit -> unit;
@@ -22,11 +20,11 @@ type t = {
   eligible : Packet.t Iheap.t;  (* shaped: service stage *)
   mutable counts : int array;  (* shaped per-flow backlog *)
   (* Per-flow encoded tie cache, filled on first use and reset by
-     close_flow — the same activation snapshot the hand-written fast
-     path takes. *)
+     close_flow — a per-activation snapshot, like Flow_state's rate
+     cache. *)
   mutable ties : int array;
   mutable tie_ok : bool array;
-  mutable high : int;  (* largest clamped rank ever admitted *)
+  mutable high : int;  (* largest clamped rank or aux ever admitted *)
   mutable last_now : float;  (* shaped: clock for now-less peek *)
 }
 
@@ -70,16 +68,18 @@ let bump t flow d =
   if flow >= Array.length t.counts then grow_counts t flow;
   t.counts.(flow) <- t.counts.(flow) + d
 
-let size t =
-  if t.shaped then Iflow_heap.size t.shaper + Iheap.length t.eligible
-  else Iflow_heap.size t.main
-
+let size_unshaped t = Iflow_heap.size t.main
+let size_shaped t = Iflow_heap.size t.shaper + Iheap.length t.eligible
+let size t = if t.shaped then size_shaped t else size_unshaped t
 let is_empty t = size t = 0
 
+let backlog_unshaped t flow = Iflow_heap.backlog t.main flow
+
+let backlog_shaped t flow =
+  if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) else 0
+
 let backlog t flow =
-  if t.shaped then
-    if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) else 0
-  else Iflow_heap.backlog t.main flow
+  if t.shaped then backlog_shaped t flow else backlog_unshaped t flow
 
 let create ?(tie = Tag_queue.Arrival) ?capacity prog =
   let t =
@@ -108,30 +108,45 @@ let create ?(tie = Tag_queue.Arrival) ?capacity prog =
 
 (* Ranks saturate at the Tag rail and clamp below at 0 — a user rank
    program can never wrap the ordering, only degrade it to (tie,
-   arrival) at the rail, exactly like the fixed-point schedulers. *)
+   arrival) at the rail. *)
 let clamp_rank k = if k < 0 then 0 else if k > Tag.max_tag then Tag.max_tag else k
 
-let enqueue t ~now pkt =
+let check_flow flow =
+  if flow < 0 then invalid_arg "Pifo_sched.enqueue: flow id must be >= 0"
+
+(* [high] watches the aux output as well as the rank: SFQ's finish tag
+   (its aux) reaches the rail before its start tag (its rank) does. *)
+let enqueue_unshaped t ~now pkt =
   let flow = pkt.Packet.flow in
-  if flow < 0 then invalid_arg "Pifo_sched.enqueue: flow id must be >= 0";
+  check_flow flow;
+  let tie = if t.arrival then 0 else tie_of t flow in
+  let key = clamp_rank (t.rank ~now pkt) in
+  let aux = t.regs.Rank_program.aux in
+  if key > t.high then t.high <- key;
+  if aux > t.high then t.high <- clamp_rank aux;
+  Iflow_heap.push t.main ~flow ~key ~aux ~tie pkt
+
+let enqueue_shaped t ~now pkt =
+  let flow = pkt.Packet.flow in
+  check_flow flow;
   let tie = if t.arrival then 0 else tie_of t flow in
   let key = clamp_rank (t.rank ~now pkt) in
   if key > t.high then t.high <- key;
-  if t.shaped then begin
-    if now > t.last_now then t.last_now <- now;
-    let ekey = clamp_rank t.regs.Rank_program.eligible in
-    Iflow_heap.push t.shaper ~flow ~key:ekey ~aux:key ~tie pkt;
-    bump t flow 1
-  end
-  else Iflow_heap.push t.main ~flow ~key ~aux:t.regs.Rank_program.aux ~tie pkt
+  if now > t.last_now then t.last_now <- now;
+  let ekey = clamp_rank t.regs.Rank_program.eligible in
+  Iflow_heap.push t.shaper ~flow ~key:ekey ~aux:key ~tie pkt;
+  bump t flow 1
+
+let enqueue t ~now pkt =
+  if t.shaped then enqueue_shaped t ~now pkt else enqueue_unshaped t ~now pkt
 
 (* Shaped stage transfer: entries whose eligibility rank the horizon
    has passed move to the service heap keyed by their service rank
    (stored as the shaper's aux), carrying their original push uid so
    equal (rank, tie) entries still serve in arrival order. The horizon
    is consulted unconditionally — for GPS-clocked programs the call
-   itself advances the fluid simulation, exactly as the hand-written
-   WF²Q promotes on every dequeue and peek. *)
+   itself advances the fluid simulation, exactly as the float WF²Q
+   promotes on every dequeue and peek. *)
 let promote t ~now =
   let h = t.horizon ~now in
   let rec go () =
@@ -148,7 +163,7 @@ let promote t ~now =
   in
   go ()
 
-let dequeue_shaped t ~now =
+let serve_shaped t ~now =
   promote t ~now;
   if Iheap.length t.eligible > 0 then begin
     let key = Iheap.min_key_exn t.eligible in
@@ -175,6 +190,10 @@ let dequeue_shaped t ~now =
     None
   end
 
+let dequeue_shaped t ~now =
+  if now > t.last_now then t.last_now <- now;
+  serve_shaped t ~now
+
 (* Unshaped non-allocating hot path; pair with [is_empty]. *)
 let dequeue_unshaped_exn t =
   let pkt = Iflow_heap.pop_exn t.main in
@@ -184,38 +203,38 @@ let dequeue_unshaped_exn t =
     ~empty:(Iflow_heap.is_empty t.main);
   pkt
 
-let dequeue_exn t =
-  if t.shaped then
-    match dequeue_shaped t ~now:t.last_now with
-    | Some pkt -> pkt
-    | None -> invalid_arg "Pifo_sched.dequeue_exn: empty"
-  else dequeue_unshaped_exn t
-
-let dequeue t ~now =
-  if t.shaped then begin
-    if now > t.last_now then t.last_now <- now;
-    dequeue_shaped t ~now
-  end
-  else if Iflow_heap.is_empty t.main then begin
+let dequeue_unshaped t =
+  if Iflow_heap.is_empty t.main then begin
     t.on_idle ();
     None
   end
   else Some (dequeue_unshaped_exn t)
 
-let peek t =
-  if t.shaped then begin
-    promote t ~now:t.last_now;
-    match Iheap.min_elt t.eligible with
-    | Some pkt -> Some pkt
-    | None -> (
-      match Iflow_heap.peek t.shaper with
-      | Some e -> Some e.Iflow_heap.value
-      | None -> None)
-  end
-  else
-    match Iflow_heap.peek t.main with
-    | None -> None
-    | Some p -> Some p.Iflow_heap.value
+let dequeue_exn t =
+  if t.shaped then
+    match serve_shaped t ~now:t.last_now with
+    | Some pkt -> pkt
+    | None -> invalid_arg "Pifo_sched.dequeue_exn: empty"
+  else dequeue_unshaped_exn t
+
+let dequeue t ~now =
+  if t.shaped then dequeue_shaped t ~now else dequeue_unshaped t
+
+let peek_unshaped t =
+  match Iflow_heap.peek t.main with
+  | None -> None
+  | Some p -> Some p.Iflow_heap.value
+
+let peek_shaped t =
+  promote t ~now:t.last_now;
+  match Iheap.min_elt t.eligible with
+  | Some pkt -> Some pkt
+  | None -> (
+    match Iflow_heap.peek t.shaper with
+    | Some e -> Some e.Iflow_heap.value
+    | None -> None)
+
+let peek t = if t.shaped then peek_shaped t else peek_unshaped t
 
 (* Eviction keeps every tag the program assigned: dropped virtual
    service stays charged to the flow (eq. 4, conservative). A flow's
@@ -286,14 +305,31 @@ let high_tag t = t.high
 let saturated t = Tag.is_saturated t.high
 let program t = t.prog
 
+(* The closure set is chosen once, here, from the program's [shaped]
+   flag, so the per-packet calls through [Sched.t] skip the shaped
+   branches entirely. *)
 let sched t =
-  {
-    Sched.name = t.prog.Rank_program.name;
-    enqueue = (fun ~now pkt -> enqueue t ~now pkt);
-    dequeue = (fun ~now -> dequeue t ~now);
-    peek = (fun () -> peek t);
-    size = (fun () -> size t);
-    backlog = (fun flow -> backlog t flow);
-    evict = (fun ~now:_ victim flow -> evict t victim flow);
-    close_flow = (fun ~now flow -> close_flow t ~now flow);
-  }
+  let evict ~now:_ victim flow = evict t victim flow in
+  let close_flow ~now flow = close_flow t ~now flow in
+  if t.shaped then
+    {
+      Sched.name = t.prog.Rank_program.name;
+      enqueue = (fun ~now pkt -> enqueue_shaped t ~now pkt);
+      dequeue = (fun ~now -> dequeue_shaped t ~now);
+      peek = (fun () -> peek_shaped t);
+      size = (fun () -> size_shaped t);
+      backlog = (fun flow -> backlog_shaped t flow);
+      evict;
+      close_flow;
+    }
+  else
+    {
+      Sched.name = t.prog.Rank_program.name;
+      enqueue = (fun ~now pkt -> enqueue_unshaped t ~now pkt);
+      dequeue = (fun ~now:_ -> dequeue_unshaped t);
+      peek = (fun () -> peek_unshaped t);
+      size = (fun () -> size_unshaped t);
+      backlog = (fun flow -> backlog_unshaped t flow);
+      evict;
+      close_flow;
+    }

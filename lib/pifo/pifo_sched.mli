@@ -4,12 +4,17 @@
     The runtime owns everything that is {e not} discipline logic —
     which, per Alcoz & Vass et al. ("Everything Matters in Programmable
     Packet Scheduling"), is where scheduler correctness actually
-    lives: admission (rank clamping at the {!Sfq_fastpath.Tag}
-    saturation rail — ranks saturate, never wrap), FIFO-stable tie
-    resolution (the {!Sfq_sched.Iflow_heap} [(key, tie, uid)] contract,
-    with per-flow tie values cached at activation exactly like the
-    hand-written fast path), the PR 5 evict/close lifecycle, and the
-    optional two-stage shaper for {!Rank_program.shaped} disciplines.
+    lives: admission (rank clamping at the {!Tag} saturation rail —
+    ranks saturate, never wrap), FIFO-stable tie resolution (the
+    {!Sfq_sched.Iflow_heap} [(key, tie, uid)] contract, with per-flow
+    tie values cached at activation), the evict/close lifecycle, and
+    the optional two-stage shaper for {!Rank_program.shaped}
+    disciplines.
+
+    This is the only int-tag engine for the exact disciplines: the
+    ["sfq-fast"], ["scfq-fast"] and ["vc-fast"] names of
+    [Sfq_experiments.Disc] are this runtime running {!Programs.sfq},
+    {!Programs.scfq} and {!Programs.virtual_clock}.
 
     Layout per stage:
     - unshaped: a single {!Sfq_sched.Iflow_heap} (per-flow FIFO rings,
@@ -21,7 +26,7 @@
       eligibility rank and move to a service {!Sfq_util.Iheap} keyed by
       service rank once {!Rank_program.t.horizon} passes their
       eligibility — carrying their original arrival uid, so ties
-      resolve exactly as in the hand-written two-stage scheduler. When
+      resolve exactly as in the float two-stage scheduler. When
       nothing is eligible the earliest eligibility rank is served
       instead (work conservation).
 
@@ -66,13 +71,21 @@ val vtime : t -> float
 (** The program's decoded virtual time (0 for clockless programs). *)
 
 val high_tag : t -> int
-(** Largest (clamped) rank ever admitted. *)
+(** Largest (clamped) rank ever admitted, or, on unshaped programs,
+    the largest (clamped) [regs.aux] if that is larger — SFQ's finish
+    tag. *)
 
 val saturated : t -> bool
-(** Has any admitted rank hit the {!Sfq_fastpath.Tag.max_tag} rail? *)
+(** Has {!high_tag} hit the {!Tag.max_tag} rail? From then on the
+    program's order may have degraded to (tie, arrival); see {!Tag}
+    for the per-flow headroom. *)
 
 val program : t -> Rank_program.t
 
 val sched : t -> Sched.t
 (** The full {!Sched.t} surface under the program's name, so [Disc],
-    the netsim server, sweeps, tracing and [Buffered] work unchanged. *)
+    the netsim server, sweeps, tracing and [Buffered] work unchanged.
+    The closures are picked once from {!Rank_program.t.shaped}: an
+    unshaped program's view never tests for the shaper. Its [dequeue]
+    pays the [Some] box; the zero-allocation contract applies to
+    {!enqueue} and {!dequeue_exn}. *)

@@ -7,8 +7,13 @@
     programs, outcome-digest over the frozen pools for the GPS-clocked
     ones (whose tags involve non-dyadic fluid divisions).
 
-    Quantization and rate-snapshot caveats are those of the fixed-point
-    fast path (see {!Sfq_fastpath.Tag} and {!Flow_state}). Tie-breaking
+    [sfq], [scfq] and [virtual_clock] are also the engines behind the
+    ["sfq-fast"], ["scfq-fast"] and ["vc-fast"] disciplines of
+    [Sfq_experiments.Disc], which rename the runtime's [Sched.t] view
+    and change nothing else.
+
+    Quantization, rate-snapshot and saturation caveats are those of the
+    fixed-point codec (see {!Tag} and {!Flow_state}). Tie-breaking
     configuration ([Tag_queue.tie]) belongs to the runtime, not the
     program: pass it to {!Pifo_sched.create}. *)
 

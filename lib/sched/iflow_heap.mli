@@ -2,7 +2,7 @@
 
     Same structure — one FIFO ring per flow, heads-only min-heap, O(log
     F) pops flat in queued packets — but every ordering field is an int
-    (a {!Sfq_fastpath.Tag} scaled virtual time, an order-preserving int
+    (a {!Sfq_pifo.Tag} scaled virtual time, an order-preserving int
     encoding of the tie value, and the push-order uid), and the hot
     dequeue path is allocation-free: {!pop_exn} returns the payload
     directly and deposits the removed entry's ordering fields in

@@ -1,19 +1,18 @@
-(* The fixed-point fast path: Tag codec unit tests, Iheap model
-   properties mirroring the Fheap trio, a cross-heap tie-order check
-   (int-tag ties must resolve exactly like float-tag ties), dyadic
-   differential equivalence of every fast scheduler against its float
-   original, digest equality across domain counts, the zero-allocation
-   budget, the saturation rail, and SP-PIFO's adaptation rule. *)
+(* The fixed-point layer: Tag codec unit tests, Iheap model properties
+   mirroring the Fheap trio, a cross-heap tie-order check (int-tag ties
+   must resolve exactly like float-tag ties), digest equality of the
+   *-fast disciplines across domain counts, sp-pifo's zero-allocation
+   budget, the saturation rail of the runtime that serves sfq-fast,
+   and SP-PIFO's adaptation rule. The dyadic differential suites of
+   the exact rank programs live in test_pifo_equiv. *)
 
 open Sfq_base
-open Sfq_fastpath
+open Sfq_pifo
 module Fheap = Sfq_util.Fheap
 module Iheap = Sfq_util.Iheap
 module Rng = Sfq_util.Rng
-module Tag_queue = Sfq_sched.Tag_queue
 module Sfq = Sfq_core.Sfq
-module Scfq = Sfq_sched.Scfq
-module Vc = Sfq_sched.Virtual_clock
+module Pifo = Pifo_sched
 module O = Sfq_oracle
 
 let check_bool = Alcotest.(check bool)
@@ -243,151 +242,6 @@ let prop_cross_heap_tie_agreement =
       fdrain [] = iheap_drain ih)
 
 (* ------------------------------------------------------------------ *)
-(* Differential equivalence: fast schedulers vs float originals         *)
-
-(* Dyadic workload material: rates are 100·2^k and lengths multiples of
-   100, so every len/rate is k/2^j — exact at 20 fractional bits — and
-   clocks advance in quarter steps. On such inputs the fast schedulers
-   promise packet-for-packet identity with the float originals. *)
-let dyadic_rates = [| 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 |]
-
-type action =
-  | Enq of Packet.t
-  | Deq
-  | Evict of Sched.victim * int
-  | Close of int
-
-let gen_scenario seed =
-  let r = Rng.create seed in
-  let nflows = 1 + Rng.int r 4 in
-  let weights =
-    List.init nflows (fun f -> (f, dyadic_rates.(Rng.int r (Array.length dyadic_rates))))
-  in
-  let seqs = Array.make nflows 0 in
-  let now = ref 0.0 in
-  let nops = 40 + Rng.int r 120 in
-  (* explicit loop: clocks must be generated in ascending op order *)
-  let ops = ref [] in
-  for _ = 1 to nops do
-    now := !now +. (0.25 *. float_of_int (Rng.int r 5));
-    let t = !now in
-    let a =
-      let roll = Rng.int r 100 in
-      if roll < 55 then begin
-        let f = Rng.int r nflows in
-        seqs.(f) <- seqs.(f) + 1;
-        let len = 100 * (1 + Rng.int r 15) in
-        let rate =
-          if Rng.int r 4 = 0 then
-            Some dyadic_rates.(Rng.int r (Array.length dyadic_rates))
-          else None
-        in
-        Enq (Packet.make ?rate ~flow:f ~seq:seqs.(f) ~len ~born:t ())
-      end
-      else if roll < 85 then Deq
-      else if roll < 93 then
-        Evict ((if Rng.bool r then Sched.Oldest else Sched.Newest), Rng.int r nflows)
-      else Close (Rng.int r nflows)
-    in
-    ops := (t, a) :: !ops
-  done;
-  (weights, List.rev !ops, !now)
-
-let pkt_str = function
-  | None -> "None"
-  | Some p -> Printf.sprintf "flow %d seq %d len %d" p.Packet.flow p.Packet.seq p.Packet.len
-
-let popt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some p, Some q -> p == q
-  | _ -> false
-
-(* Both schedulers see the same physical packets, so equivalence is
-   physical equality of every dequeue/evict/close result. *)
-let run_differential ~name mk_float mk_fast (weights, ops, final) =
-  let w = Weights.of_list ~default:1.0 weights in
-  let a = mk_float w in
-  let b = mk_fast w in
-  List.iteri
-    (fun i (now, action) ->
-      match action with
-      | Enq p ->
-        a.Sched.enqueue ~now p;
-        b.Sched.enqueue ~now p
-      | Deq ->
-        let x = a.Sched.dequeue ~now in
-        let y = b.Sched.dequeue ~now in
-        if not (popt_equal x y) then
-          Alcotest.failf "%s: op %d dequeue at %g: float %s, fast %s" name i now
-            (pkt_str x) (pkt_str y)
-      | Evict (v, f) ->
-        let x = a.Sched.evict ~now v f in
-        let y = b.Sched.evict ~now v f in
-        if not (popt_equal x y) then
-          Alcotest.failf "%s: op %d evict flow %d: float %s, fast %s" name i f
-            (pkt_str x) (pkt_str y)
-      | Close f ->
-        let x = a.Sched.close_flow ~now f in
-        let y = b.Sched.close_flow ~now f in
-        if List.length x <> List.length y || not (List.for_all2 ( == ) x y) then
-          Alcotest.failf "%s: op %d close flow %d: %d vs %d packets (or order differs)"
-            name i f (List.length x) (List.length y))
-    ops;
-  check_int (name ^ ": residual backlog") (a.Sched.size ()) (b.Sched.size ());
-  let da = Sched.drain a ~now:final in
-  let db = Sched.drain b ~now:final in
-  if List.length da <> List.length db || not (List.for_all2 ( == ) da db) then
-    Alcotest.failf "%s: final drain order diverges" name
-
-let tie_of w = function
-  | `Arrival -> Tag_queue.Arrival
-  | `Low -> Tag_queue.Low_rate (Weights.get w)
-  | `High -> Tag_queue.High_rate (Weights.get w)
-
-let tie_name = function `Arrival -> "arrival" | `Low -> "low" | `High -> "high"
-
-let test_sfq_fast_differential () =
-  List.iter
-    (fun tie ->
-      List.iter
-        (fun (bname, busy) ->
-          for seed = 1 to 20 do
-            let name = Printf.sprintf "sfq[%s/%s] seed %d" (tie_name tie) bname seed in
-            run_differential ~name
-              (fun w -> Sfq.sched (Sfq.create ~tie:(tie_of w tie) ~busy_rule:busy w))
-              (fun w ->
-                Sfq_fast.sched (Sfq_fast.create ~tie:(tie_of w tie) ~busy_rule:busy w))
-              (gen_scenario (seed * 7919))
-          done)
-        [ ("idle_poll", Sfq.Idle_poll); ("on_empty", Sfq.On_empty) ])
-    [ `Arrival; `Low; `High ]
-
-let test_scfq_fast_differential () =
-  List.iter
-    (fun tie ->
-      for seed = 1 to 20 do
-        let name = Printf.sprintf "scfq[%s] seed %d" (tie_name tie) seed in
-        run_differential ~name
-          (fun w -> Scfq.sched (Scfq.create ~tie:(tie_of w tie) w))
-          (fun w -> Scfq_fast.sched (Scfq_fast.create ~tie:(tie_of w tie) w))
-          (gen_scenario ((seed * 7919) + 1))
-      done)
-    [ `Arrival; `Low; `High ]
-
-let test_vc_fast_differential () =
-  List.iter
-    (fun tie ->
-      for seed = 1 to 20 do
-        let name = Printf.sprintf "vc[%s] seed %d" (tie_name tie) seed in
-        run_differential ~name
-          (fun w -> Vc.sched (Vc.create ~tie:(tie_of w tie) w))
-          (fun w -> Virtual_clock_fast.sched (Virtual_clock_fast.create ~tie:(tie_of w tie) w))
-          (gen_scenario ((seed * 7919) + 2))
-      done)
-    [ `Arrival; `Low; `High ]
-
-(* ------------------------------------------------------------------ *)
 (* Oracle digests: sfq-fast ≡ sfq across domain counts                  *)
 
 let test_digests_match_across_domains () =
@@ -434,38 +288,10 @@ let alloc_delta step =
   done;
   Gc.minor_words () -. before
 
+(* The exact rank programs' steppers (the engine behind sfq-fast,
+   scfq-fast and vc-fast) run in test_pifo_equiv's allocation gate. *)
 let test_zero_alloc_steady_state () =
   let n = 32 in
-  let stepper_sfq_fast () =
-    let t = Sfq_fast.create ~capacity:64 (Weights.uniform 100.0) in
-    let pkts = alloc_pkts n in
-    Array.iter (Sfq_fast.enqueue t ~now:0.0) pkts;
-    let i = ref 0 in
-    fun () ->
-      Sfq_fast.enqueue t ~now:0.0 pkts.(!i);
-      i := (!i + 1) land (n - 1);
-      ignore (Sfq_fast.dequeue_exn t)
-  in
-  let stepper_scfq_fast () =
-    let t = Scfq_fast.create ~capacity:64 (Weights.uniform 100.0) in
-    let pkts = alloc_pkts n in
-    Array.iter (Scfq_fast.enqueue t ~now:0.0) pkts;
-    let i = ref 0 in
-    fun () ->
-      Scfq_fast.enqueue t ~now:0.0 pkts.(!i);
-      i := (!i + 1) land (n - 1);
-      ignore (Scfq_fast.dequeue_exn t)
-  in
-  let stepper_vc_fast () =
-    let t = Virtual_clock_fast.create ~capacity:64 (Weights.uniform 100.0) in
-    let pkts = alloc_pkts n in
-    Array.iter (Virtual_clock_fast.enqueue t ~now:0.0) pkts;
-    let i = ref 0 in
-    fun () ->
-      Virtual_clock_fast.enqueue t ~now:0.0 pkts.(!i);
-      i := (!i + 1) land (n - 1);
-      ignore (Virtual_clock_fast.dequeue_exn t)
-  in
   let stepper_sp_pifo () =
     let t = Sp_pifo.create (Weights.uniform 100.0) in
     let pkts = alloc_pkts n in
@@ -476,19 +302,11 @@ let test_zero_alloc_steady_state () =
       i := (!i + 1) land (n - 1);
       ignore (Sp_pifo.dequeue_exn t)
   in
-  List.iter
-    (fun (name, mk) ->
-      let d = alloc_delta (mk ()) in
-      check_bool (Printf.sprintf "%s: %.0f minor words over 10k op pairs" name d) true
-        (d <= 64.0))
-    [
-      ("sfq-fast", stepper_sfq_fast);
-      ("scfq-fast", stepper_scfq_fast);
-      ("vc-fast", stepper_vc_fast);
-      ("sp-pifo", stepper_sp_pifo);
-    ];
+  let d = alloc_delta (stepper_sp_pifo ()) in
+  check_bool (Printf.sprintf "sp-pifo: %.0f minor words over 10k op pairs" d) true
+    (d <= 64.0);
   (* Contrast: the float scheduler allocates on every operation, which
-     is the whole point of the fast path. *)
+     is the whole point of the fixed-point layer. *)
   let float_step =
     let t = Sfq.create (Weights.uniform 100.0) in
     let pkts = alloc_pkts n in
@@ -502,34 +320,59 @@ let test_zero_alloc_steady_state () =
   check_bool "float sfq allocates" true (alloc_delta float_step > 1000.0)
 
 (* ------------------------------------------------------------------ *)
-(* Saturation rail                                                      *)
+(* Saturation rail of the runtime that serves sfq-fast                  *)
 
 let test_saturation_boundary () =
   (* A rate so small the very first delta clamps to the rail. *)
-  let t = Sfq_fast.create (Weights.uniform 1e-10) in
-  check_bool "fresh scheduler unsaturated" false (Sfq_fast.saturated t);
-  check_bool "fresh headroom positive" true (Sfq_fast.headroom t > 0.0);
+  let t = Pifo.create (Programs.sfq (Weights.uniform 1e-10)) in
+  check_bool "fresh scheduler unsaturated" false (Pifo.saturated t);
   let p1 = Packet.make ~flow:0 ~seq:1 ~len:1000 ~born:0.0 () in
   let p2 = Packet.make ~flow:0 ~seq:2 ~len:1000 ~born:0.0 () in
   let p3 = Packet.make ~flow:1 ~seq:1 ~len:1000 ~born:0.0 () in
-  Sfq_fast.enqueue t ~now:0.0 p1;
-  (* S(p1) = 0, F(p1) saturates immediately. *)
-  check_bool "saturated after first finish tag" true (Sfq_fast.saturated t);
-  check_float "no headroom at the rail" 0.0 (Sfq_fast.headroom t);
-  Sfq_fast.enqueue t ~now:0.0 p2;
-  Sfq_fast.enqueue t ~now:0.0 p3;
+  Pifo.enqueue t ~now:0.0 p1;
+  (* S(p1) = 0, F(p1) saturates immediately: the finish tag, not the
+     start-tag rank, is what reaches the rail first. *)
+  check_bool "saturated after first finish tag" true (Pifo.saturated t);
+  check_int "high watermark at the rail" Tag.max_tag (Pifo.high_tag t);
+  Pifo.enqueue t ~now:0.0 p2;
+  Pifo.enqueue t ~now:0.0 p3;
   (* Order degrades to (tie, arrival) but stays total and loss-free:
      p1 and p3 carry start tag 0 (flows enter at v = 0), p2 rides its
      flow's saturated finish tag. No wrap-around: tags clamp, so p2
      cannot jump ahead of anything. *)
-  let a = Sfq_fast.dequeue_exn t in
-  let b = Sfq_fast.dequeue_exn t in
-  let c = Sfq_fast.dequeue_exn t in
+  let a = Pifo.dequeue_exn t in
+  let b = Pifo.dequeue_exn t in
+  let c = Pifo.dequeue_exn t in
   check_bool "p1 first" true (a == p1);
   check_bool "p3 second" true (b == p3);
   check_bool "p2 last" true (c == p2);
-  check_bool "drained" true (Sfq_fast.is_empty t);
-  check_int "vtag clamped at the rail, not wrapped" Tag.max_tag (Sfq_fast.vtag t)
+  check_bool "drained" true (Pifo.is_empty t);
+  check_float "v clamped at the rail, not wrapped" (Tag.decode c20 Tag.max_tag)
+    (Pifo.vtime t)
+
+(* The small-rate probe: two flows at rates 1e-4 and 2e-4 with
+   12000-bit packets have ~18k packets of headroom each (tag.mli), so
+   300k dequeues drive both onto the rail. Float SFQ serves them 1:2;
+   past the rail the fixed-point order is (tie, arrival) and the share
+   drifts. Only the accessor reports it. *)
+let test_small_rate_probe () =
+  let w = Weights.of_list ~default:1.0 [ (0, 1e-4); (1, 2e-4) ] in
+  let t = Pifo.create (Programs.sfq w) in
+  let seqs = [| 0; 0 |] and served = [| 0; 0 |] in
+  let send f =
+    seqs.(f) <- seqs.(f) + 1;
+    Pifo.enqueue t ~now:0.0 (Packet.make ~flow:f ~seq:seqs.(f) ~len:12000 ~born:0.0 ())
+  in
+  send 0;
+  send 1;
+  for _ = 1 to 300_000 do
+    let f = (Pifo.dequeue_exn t).Packet.flow in
+    served.(f) <- served.(f) + 1;
+    send f
+  done;
+  check_bool
+    (Printf.sprintf "saturated after 300k dequeues (served %d:%d)" served.(0) served.(1))
+    true (Pifo.saturated t)
 
 (* ------------------------------------------------------------------ *)
 (* SP-PIFO                                                              *)
@@ -697,17 +540,17 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "sfq-fast == sfq (dyadic)" `Quick test_sfq_fast_differential;
-          Alcotest.test_case "scfq-fast == scfq (dyadic)" `Quick
-            test_scfq_fast_differential;
-          Alcotest.test_case "vc-fast == vc (dyadic)" `Quick test_vc_fast_differential;
           Alcotest.test_case "digests match at 1/2/4/8 domains" `Slow
             test_digests_match_across_domains;
         ] );
       ( "allocation",
         [ Alcotest.test_case "zero-alloc steady state" `Quick test_zero_alloc_steady_state ] );
       ( "saturation",
-        [ Alcotest.test_case "rail behaviour" `Quick test_saturation_boundary ] );
+        [
+          Alcotest.test_case "rail behaviour" `Quick test_saturation_boundary;
+          Alcotest.test_case "small-rate probe reaches the rail" `Quick
+            test_small_rate_probe;
+        ] );
       ( "sp_pifo",
         [
           Alcotest.test_case "create validation" `Quick test_sp_pifo_create_validation;
