@@ -243,7 +243,8 @@ let check_overhead rows =
 
 (* The fastpath series carries three hard promises of the fixed-point
    layer, and the file is rejected the moment any of them decays:
-   - sfq-fast allocates nothing per packet in steady state (the column
+   - sfq-fast and sp-pifo (the runtime over its exact store and over
+     its banks) allocate nothing per packet in steady state (the column
      is the measured minor-words rate, emitted at 1e-3 resolution, so
      "zero" means exactly 0.000);
    - sfq-fast is actually faster than float sfq at the largest flow
@@ -271,18 +272,20 @@ let check_fastpath rows =
         | Num a when a >= 0.0 -> ()
         | _ ->
           raise (Bad (series ^ ": allocations_per_packet must be a non-negative number")));
-        match field "discipline" row with
-        | Str "sfq-fast" -> (
+        (match field "discipline" row with
+        | Str (("sfq-fast" | "sp-pifo") as disc) -> (
           match field "allocations_per_packet" row with
           | Num 0.0 -> ()
           | Num a ->
             raise
               (Bad
                  (Printf.sprintf
-                    "%s: sfq-fast allocates %.3f words/packet — the zero-allocation \
+                    "%s: %s allocates %.3f words/packet — the zero-allocation \
                      contract is broken"
-                    series a))
-          | _ -> raise (Bad (series ^ ": sfq-fast allocations_per_packet must be a number")))
+                    series disc a))
+          | _ -> raise (Bad (series ^ ": allocations_per_packet must be a number")))
+        | _ -> ());
+        match field "discipline" row with
         | Str "sp-pifo" ->
           (match field "measured_unfairness" row with
           | Num h when h > 0.0 -> ()
@@ -327,49 +330,6 @@ let check_fastpath rows =
         if not (List.exists (fun row -> field "discipline" row = Str disc) rows) then
           raise (Bad (Printf.sprintf "%s: missing discipline %S" series disc)))
       [ "sfq"; "sfq-fast"; "scfq"; "scfq-fast"; "virtual-clock"; "vc-fast"; "sp-pifo" ]
-  | _ -> raise (Bad (Printf.sprintf "%s must be an array" series))
-
-(* The pifo series prices the programmable runtime: pifo-sfq must
-   report exactly zero allocations per packet, and the three exact
-   rank programs must all be present. There is no speed gate here: the
-   fastpath series' -fast rows run this same runtime. *)
-let check_pifo rows =
-  let series = "pifo" in
-  match rows with
-  | List [] -> raise (Bad (Printf.sprintf "%s is empty" series))
-  | List rows ->
-    List.iter
-      (fun row ->
-        (match field "discipline" row with
-        | Str _ -> ()
-        | _ -> raise (Bad (series ^ ": discipline must be a string")));
-        check_pos_int ~series ~name:"flows" row;
-        check_ns ~series ~name:"ns_per_packet" row;
-        check_ns ~series ~name:"ns_p50" row;
-        check_ns ~series ~name:"ns_p99" row;
-        (match field "allocations_per_packet" row with
-        | Num a when a >= 0.0 -> ()
-        | _ ->
-          raise (Bad (series ^ ": allocations_per_packet must be a non-negative number")));
-        match field "discipline" row with
-        | Str "pifo-sfq" -> (
-          match field "allocations_per_packet" row with
-          | Num 0.0 -> ()
-          | Num a ->
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "%s: pifo-sfq allocates %.3f words/packet — the rank-program \
-                     zero-allocation contract is broken"
-                    series a))
-          | _ -> raise (Bad (series ^ ": pifo-sfq allocations_per_packet must be a number")))
-        | _ -> ())
-      rows;
-    List.iter
-      (fun disc ->
-        if not (List.exists (fun row -> field "discipline" row = Str disc) rows) then
-          raise (Bad (Printf.sprintf "%s: missing discipline %S" series disc)))
-      [ "pifo-sfq"; "pifo-scfq"; "pifo-vc" ]
   | _ -> raise (Bad (Printf.sprintf "%s must be an array" series))
 
 (* The parallel series is the trajectory's record of the sfq.par
@@ -512,15 +472,14 @@ let validate contents =
   match
     let json = parse contents in
     (match field "schema" json with
-    | Str "sfq-bench-sched/7" -> ()
-    | Str "sfq-bench-sched/6" ->
-      raise (Bad "stale schema sfq-bench-sched/6: regenerate with bench main.exe micro")
+    | Str "sfq-bench-sched/8" -> ()
+    | Str "sfq-bench-sched/7" ->
+      raise (Bad "stale schema sfq-bench-sched/7: regenerate with bench main.exe micro")
     | _ -> raise (Bad "unexpected schema"));
     check_meta (field "meta" json);
     check_rows ~series:"flow_scaling" ~depth:false (field "flow_scaling" json);
     check_rows ~series:"depth_scaling" ~depth:true (field "depth_scaling" json);
     check_fastpath (field "fastpath" json);
-    check_pifo (field "pifo" json);
     check_overhead (field "tracing_overhead" json);
     check_parallel (field "parallel" json);
     check_netsim (field "netsim" json);

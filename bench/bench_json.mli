@@ -42,17 +42,16 @@ val disabled_overhead_limit_pct : float
 
 val validate : string -> (unit, string) result
 (** [validate contents] checks a whole document: well-formed JSON,
-    [schema = "sfq-bench-sched/7"] (the previous /6 is
-    rejected as stale — a /7 file must carry the replay series), a [meta] block with non-empty
+    [schema = "sfq-bench-sched/8"] (the previous /7 is rejected as
+    stale — it still carried the separate [pifo] series, which timed
+    the same runtime as the fastpath rows), a [meta] block with non-empty
     [git_sha]/[timestamp_utc]/[hostname] and a positive-integer
     [domains], the [flow_scaling] and [depth_scaling] series, a
     [fastpath] series carrying all seven fixed-point-vs-float
-    disciplines — in which sfq-fast must report exactly zero
-    allocations per packet and a lower ns/packet than float sfq at the
-    largest flow count, and every sp-pifo row must carry its positive
-    measured-unfairness budget and fairness bound — a [pifo] series
-    carrying the pifo-sfq/pifo-scfq/pifo-vc rank-program rows, in
-    which pifo-sfq must report exactly zero allocations per packet, a
+    disciplines — in which sfq-fast and sp-pifo must report exactly
+    zero allocations per packet, sfq-fast a lower ns/packet than float
+    sfq at the largest flow count, and every sp-pifo row its positive
+    measured-unfairness budget and fairness bound — a
     [tracing_overhead] series
     carrying all four modes (untraced/disabled/ring/jsonl) whose
     disabled row must respect {!disabled_overhead_limit_pct}, and a

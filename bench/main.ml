@@ -267,15 +267,15 @@ let native nflows enq deq =
     deq ()
 
 (* A rank program on the PIFO runtime, through its native API. *)
-let native_pifo nflows prog =
+let native_pifo nflows t =
   let open Sfq_pifo in
-  let t = Pifo_sched.create prog in
   native nflows
     (fun p -> Pifo_sched.enqueue t ~now:0.0 p)
     (fun () -> ignore (Pifo_sched.dequeue_exn t))
 
-(* The *-fast rows time the engine Disc serves under those names: the
-   exact rank programs on the PIFO runtime. *)
+(* The *-fast and sp-pifo rows time the engine Disc serves under those
+   names: the rank programs on the PIFO runtime, over the exact store
+   and over 8 banks. *)
 let fastpath_steppers nflows =
   let weights = Weights.uniform 1000.0 in
   let native = native nflows in
@@ -287,40 +287,26 @@ let fastpath_steppers nflows =
         native
           (fun p -> Sfq_core.Sfq.enqueue t ~now:0.0 p)
           (fun () -> ignore (Sfq_core.Sfq.dequeue t ~now:0.0)) );
-    ("sfq-fast", fun () -> native_pifo nflows (Programs.sfq weights));
+    ( "sfq-fast",
+      fun () -> native_pifo nflows (Pifo_sched.create (Programs.sfq weights)) );
     ( "scfq",
       fun () ->
         let t = Scfq.create weights in
         native
           (fun p -> Scfq.enqueue t ~now:0.0 p)
           (fun () -> ignore (Scfq.dequeue t ~now:0.0)) );
-    ("scfq-fast", fun () -> native_pifo nflows (Programs.scfq weights));
+    ( "scfq-fast",
+      fun () -> native_pifo nflows (Pifo_sched.create (Programs.scfq weights)) );
     ( "virtual-clock",
       fun () ->
         let t = Virtual_clock.create weights in
         native
           (fun p -> Virtual_clock.enqueue t ~now:0.0 p)
           (fun () -> ignore (Virtual_clock.dequeue t ~now:0.0)) );
-    ("vc-fast", fun () -> native_pifo nflows (Programs.virtual_clock weights));
+    ( "vc-fast",
+      fun () -> native_pifo nflows (Pifo_sched.create (Programs.virtual_clock weights)) );
     ( "sp-pifo",
-      fun () ->
-        let t = Sp_pifo.create weights in
-        native
-          (fun p -> Sp_pifo.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Sp_pifo.dequeue_exn t)) );
-  ]
-
-(* E26: the same disciplines as rank programs on the shared PIFO
-   runtime (lib/pifo), under their rank-program names. Identical
-   stepper shape and flow counts as the fastpath series; the validator
-   holds the allocation column to exactly zero. *)
-let pifo_steppers nflows =
-  let weights = Weights.uniform 1000.0 in
-  let open Sfq_pifo in
-  [
-    ("pifo-sfq", fun () -> native_pifo nflows (Programs.sfq weights));
-    ("pifo-scfq", fun () -> native_pifo nflows (Programs.scfq weights));
-    ("pifo-vc", fun () -> native_pifo nflows (Programs.virtual_clock weights));
+      fun () -> native_pifo nflows (Pifo_sched.create ~banks:8 (Programs.sfq weights)) );
   ]
 
 (* Allocation rate measured over its own window, after warmup and a
@@ -351,11 +337,12 @@ let sp_pifo_budget ~quick () =
   List.iteri
     (fun i (w : O.Workload.t) ->
       if i < n then begin
-        let s =
-          Sfq_pifo.Sp_pifo.create (Weights.of_list ~default:1.0 w.O.Workload.weights)
+        let sched =
+          Disc.make (Disc.Sp_pifo { banks = 8 })
+            (Weights.of_list ~default:1.0 w.O.Workload.weights)
         in
         let m, budget = O.Monitor.fairness_measured ~rate:(O.Workload.rate_of w) () in
-        ignore (O.Run.fixed_rate ~sched:(Sfq_pifo.Sp_pifo.sched s) ~monitors:[ m ] w);
+        ignore (O.Run.fixed_rate ~sched ~monitors:[ m ] w);
         let b = budget () in
         if b.O.Monitor.max_excess > !worst.O.Monitor.max_excess then worst := b
       end)
@@ -391,36 +378,6 @@ let fastpath_rows ~quick () =
             fp_budget = (if name = "sp-pifo" then Some budget else None);
           })
         (fastpath_steppers nflows))
-    fastpath_flow_counts
-
-let pifo_rows ~quick () =
-  let batches, batch_ops = if quick then (3, 1_000) else (5, 20_000) in
-  let alloc_ops = if quick then 10_000 else 100_000 in
-  List.concat_map
-    (fun nflows ->
-      List.map
-        (fun (name, make_step) ->
-          let step = make_step () in
-          for _ = 1 to batch_ops do
-            step ()
-          done;
-          Gc.compact ();
-          let allocs = allocs_per_op step alloc_ops in
-          let samples = ref [] in
-          for _ = 1 to batches do
-            samples := timed_batch step batch_ops :: !samples
-          done;
-          let ns, p50, p99 = stats_of !samples in
-          {
-            fp_disc = name;
-            fp_flows = nflows;
-            fp_ns = ns;
-            fp_p50 = p50;
-            fp_p99 = p99;
-            fp_allocs = allocs;
-            fp_budget = None;
-          })
-        (pifo_steppers nflows))
     fastpath_flow_counts
 
 (* ------------------------------------------------------------------ *)
@@ -699,13 +656,13 @@ let utc_timestamp () =
 
 let hostname () = try Unix.gethostname () with Unix.Unix_error _ -> "unknown"
 
-let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~overhead
+let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~overhead
     ~parallel ~netsim ~replay path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"schema\": \"sfq-bench-sched/7\",\n  \"quick\": %b,\n  \"unit\": \"ns per enqueue+dequeue\",\n"
+       "  \"schema\": \"sfq-bench-sched/8\",\n  \"quick\": %b,\n  \"unit\": \"ns per enqueue+dequeue\",\n"
        quick);
   Buffer.add_string buf
     (Printf.sprintf
@@ -757,18 +714,6 @@ let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~over
            r.fp_disc r.fp_flows (json_float r.fp_ns) (json_float r.fp_p50)
            (json_float r.fp_p99) (json_float r.fp_allocs) budget_fields))
     fastpath;
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"pifo\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"discipline\": %S, \"flows\": %d, \"ns_per_packet\": %s, \
-            \"ns_p50\": %s, \"ns_p99\": %s, \"allocations_per_packet\": %s}"
-           r.fp_disc r.fp_flows (json_float r.fp_ns) (json_float r.fp_p50)
-           (json_float r.fp_p99) (json_float r.fp_allocs)))
-    pifo;
   Buffer.add_string buf "\n  ],\n";
   Buffer.add_string buf "  \"tracing_overhead\": [\n";
   List.iteri
@@ -926,36 +871,13 @@ let run_micro ~quick ~domains () =
   print_endline
     "(Native-API steppers: preallocated packets, constant clock, exn dequeues,\n\
     \ so the float-vs-fixed-point rows compare scheduler interiors only. The\n\
-    \ -fast rows are the rank programs on the PIFO runtime; they allocate\n\
-    \ nothing in steady state — the validator fails\n\
-    \ the file if sfq-fast's allocation column ever leaves 0.000, or if it\n\
-    \ stops beating float sfq at 512 flows. sp-pifo's unfairness column is the\n\
+    \ -fast rows are the rank programs on the PIFO runtime and sp-pifo is SFQ's\n\
+    \ program over its bank store; they allocate nothing in steady state — the\n\
+    \ validator fails the file if sfq-fast's or sp-pifo's allocation column\n\
+    \ ever leaves 0.000, or if sfq-fast stops beating float sfq at 512 flows.\n\
+    \ sp-pifo's unfairness column is the\n\
     \ worst measured Theorem-1 excess over the frozen theorem pool: the price\n\
     \ of approximate rank order, recorded next to its speed.)";
-  print_newline ();
-  section "E26: PIFO rank-program runtime";
-  (* audit (parallel safety): serial for the same reason as E25 — the
-     allocation counter is process-global. *)
-  let pifo = pifo_rows ~quick () in
-  let ptable0 =
-    Text_table.create [ "discipline"; "flows"; "ns/packet"; "allocs/packet" ]
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row ptable0
-        [
-          r.fp_disc;
-          string_of_int r.fp_flows;
-          Printf.sprintf "%.0f" r.fp_ns;
-          Printf.sprintf "%.3f" r.fp_allocs;
-        ])
-    pifo;
-  Text_table.print ptable0;
-  print_endline
-    "(The same disciplines as ~20-line rank programs on the shared PIFO\n\
-    \ runtime (lib/pifo), under their rank-program names and the same\n\
-    \ stepper as E25; the -fast rows of E25 run this very engine. The\n\
-    \ validator rejects the file if pifo-sfq ever allocates per packet.)";
   print_newline ();
   section
     (Printf.sprintf "E22: sfq.obs tracer overhead (SFQ, %d flows x %d deep)"
@@ -1062,7 +984,7 @@ let run_micro ~quick ~domains () =
     \ the validator gates on them exactly — a replay regression or a vacuous\n\
     \ control flips the file to invalid.)";
   print_newline ();
-  emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~overhead
+  emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~overhead
     ~parallel ~netsim ~replay "BENCH_sched.json"
 
 let () =

@@ -124,10 +124,9 @@ let disciplines =
     "fqs"; "wf2q"; "fair-airport"; "sfq-fast"; "scfq-fast"; "vc-fast"; "sp-pifo";
     "pifo-sfq"; "pifo-scfq"; "pifo-vc"; "pifo-fqs"; "pifo-wf2q" ]
 
-(* A rank program on the PIFO runtime with its v(t) sampler; [name]
-   overrides the program's own, as Disc does for the *-fast names. *)
-let pifo ?name program =
-  let t = Sfq_pifo.Pifo_sched.create program in
+(* A runtime instance's view with its v(t) sampler; [name] overrides
+   the program's own, as Disc does for the *-fast names and sp-pifo. *)
+let pifo ?name t =
   let s = Sfq_pifo.Pifo_sched.sched t in
   let s = match name with Some name -> { s with Sched.name } | None -> s in
   (s, Some (fun () -> Sfq_pifo.Pifo_sched.vtime t))
@@ -147,13 +146,11 @@ let make_sched name tracer (w : Workload.t) =
   | "scfq" ->
     let t = Sfq_sched.Scfq.create weights in
     (Sfq_sched.Scfq.sched t, Some (fun () -> Sfq_sched.Scfq.vtime t))
-  | "sfq-fast" -> pifo ~name (Sfq_pifo.Programs.sfq weights)
-  | "scfq-fast" -> pifo ~name (Sfq_pifo.Programs.scfq weights)
-  | "pifo-sfq" -> pifo (Sfq_pifo.Programs.sfq weights)
-  | "pifo-scfq" -> pifo (Sfq_pifo.Programs.scfq weights)
-  | "sp-pifo" ->
-    let t = Sfq_pifo.Sp_pifo.create weights in
-    (Sfq_pifo.Sp_pifo.sched t, Some (fun () -> Sfq_pifo.Sp_pifo.vtime t))
+  | "sfq-fast" -> pifo ~name Sfq_pifo.(Pifo_sched.create (Programs.sfq weights))
+  | "scfq-fast" -> pifo ~name Sfq_pifo.(Pifo_sched.create (Programs.scfq weights))
+  | "pifo-sfq" -> pifo Sfq_pifo.(Pifo_sched.create (Programs.sfq weights))
+  | "pifo-scfq" -> pifo Sfq_pifo.(Pifo_sched.create (Programs.scfq weights))
+  | "sp-pifo" -> pifo ~name Sfq_pifo.(Pifo_sched.create ~banks:8 (Programs.sfq weights))
   | name ->
     let spec =
       match name with

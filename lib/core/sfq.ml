@@ -23,12 +23,6 @@ type t = {
   mutable max_finish_served : float;
 }
 
-let tie_value tie flow =
-  match (tie : Tag_queue.tie) with
-  | Arrival -> 0.0
-  | Low_rate w -> w flow
-  | High_rate w -> -.w flow
-
 let create ?(tie = Tag_queue.Arrival) ?(busy_rule = Idle_poll) ?capacity weights =
   {
     tag_hook = None;
@@ -49,7 +43,9 @@ let enqueue_tagged t ~now pkt =
   let stag = Float.max t.v (Flow_table.find t.finish flow) in
   let ftag = stag +. (float_of_int pkt.Packet.len /. packet_rate t pkt) in
   Flow_table.set t.finish flow ftag;
-  Flow_heap.push t.fh ~flow ~key:stag ~aux:ftag ~tie:(tie_value t.tie flow) pkt;
+  Flow_heap.push t.fh ~flow ~key:stag ~aux:ftag
+    ~tie:(Tag_queue.tie_value t.tie flow)
+    pkt;
   (match t.tag_hook with
   | Some (active, h) when !active -> h ~now ~pkt ~stag ~ftag ~vtime:t.v
   | Some _ | None -> ());

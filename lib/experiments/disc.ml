@@ -57,9 +57,9 @@ let name = function
 
 let pifo prog = Sfq_pifo.Pifo_sched.sched (Sfq_pifo.Pifo_sched.create prog)
 
-(* The *-fast names are the rank programs on the same runtime, under
-   their historical discipline names. *)
-let renamed name prog = { (pifo prog) with Sfq_base.Sched.name }
+(* The *-fast names and sp-pifo are the rank programs on the same
+   runtime, under their historical discipline names. *)
+let renamed name sched = { sched with Sfq_base.Sched.name }
 
 let make spec weights =
   match spec with
@@ -74,10 +74,13 @@ let make spec weights =
   | Virtual_clock -> Virtual_clock.sched (Virtual_clock.create weights)
   | Fair_airport -> Fair_airport.sched (Fair_airport.create weights)
   | Fifo -> Fifo.sched (Fifo.create ())
-  | Sfq_fast -> renamed "sfq-fast" (Sfq_pifo.Programs.sfq weights)
-  | Scfq_fast -> renamed "scfq-fast" (Sfq_pifo.Programs.scfq weights)
-  | Virtual_clock_fast -> renamed "vc-fast" (Sfq_pifo.Programs.virtual_clock weights)
-  | Sp_pifo { banks } -> Sfq_pifo.Sp_pifo.sched (Sfq_pifo.Sp_pifo.create ~banks weights)
+  | Sfq_fast -> renamed "sfq-fast" (pifo (Sfq_pifo.Programs.sfq weights))
+  | Scfq_fast -> renamed "scfq-fast" (pifo (Sfq_pifo.Programs.scfq weights))
+  | Virtual_clock_fast ->
+    renamed "vc-fast" (pifo (Sfq_pifo.Programs.virtual_clock weights))
+  | Sp_pifo { banks } ->
+    renamed "sp-pifo"
+      Sfq_pifo.(Pifo_sched.sched (Pifo_sched.create ~banks (Programs.sfq weights)))
   | Pifo_sfq -> pifo (Sfq_pifo.Programs.sfq weights)
   | Pifo_scfq -> pifo (Sfq_pifo.Programs.scfq weights)
   | Pifo_vc -> pifo (Sfq_pifo.Programs.virtual_clock weights)

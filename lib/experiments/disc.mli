@@ -25,8 +25,9 @@ type spec =
   | Virtual_clock_fast
       (** {!Sfq_pifo.Programs.virtual_clock} on the runtime, named ["vc-fast"] *)
   | Sp_pifo of { banks : int }
-      (** approximate rank order on [banks] strict-priority FIFOs
-          ({!Sfq_pifo.Sp_pifo}) *)
+      (** {!Sfq_pifo.Programs.sfq} on the runtime's bank store:
+          approximate rank order on [banks] strict-priority FIFOs
+          ({!Sfq_pifo.Sp_pifo}), named ["sp-pifo"] *)
   | Pifo_sfq  (** SFQ as a rank program on the PIFO runtime ({!Sfq_pifo.Programs}) *)
   | Pifo_scfq
   | Pifo_vc

@@ -202,59 +202,26 @@ let stress_cells ?(pool = stress_pool) () =
            (discipline_factories w))
        pool)
 
-(* Fast-path cells: the *-fast disciplines (the exact rank programs on
-   the Pifo_sched runtime, under their historical names) face the same
-   theorem sets as their float originals (equivalence is the point, so
-   any quantization-induced violation must surface); vc-fast, like the
-   float Virtual Clock, only carries structural invariants; sp-pifo is
+(* Runtime cells: every Programs rank program on the Pifo_sched
+   runtime (the engine behind the *-fast names) faces the monitor set
+   of its hand-written counterpart. pifo-sfq and pifo-scfq keep the
+   full theorem sets over the whole pool (equivalence is the point, so
+   any quantization-induced violation must surface); the clock- and
+   GPS-driven ports carry the structural invariants like their float
+   originals, pifo-vc over the whole pool and pifo-edd/fqs/wf2q over
+   its first 90 traces. sp-pifo (pifo-sfq over the bank store) is
    approximate by design, so it gets the structural/conservation checks
    plus the *relaxed* fairness oracle, which measures a budget and
    never fails. *)
-let fastpath_cells ?(pool = theorem_pool) () =
-  let open Sfq_pifo in
-  let fast name prog =
-    let s = Pifo_sched.create prog in
-    ({ (Pifo_sched.sched s) with Sched.name }, fun () -> Pifo_sched.vtime s)
-  in
-  cells ~what:"sfq-fast" pool ~driver:(fun w ->
-      let sched, vtime = fast "sfq-fast" (Programs.sfq (weights_of w)) in
-      { Run.sched; monitors = sfq_set w ~vtime; on_reweight = None })
-  @ cells ~what:"scfq-fast" pool ~driver:(fun w ->
-        let sched, vtime = fast "scfq-fast" (Programs.scfq (weights_of w)) in
-        { Run.sched; monitors = scfq_set w ~vtime; on_reweight = None })
-  @ cells ~what:"vc-fast" pool ~driver:(fun w ->
-        let sched, _ = fast "vc-fast" (Programs.virtual_clock (weights_of w)) in
-        { Run.sched; monitors = structural (); on_reweight = None })
-  @ cells ~what:"sp-pifo" pool ~driver:(fun w ->
-        let s = Sp_pifo.create (weights_of w) in
-        let sched = Sp_pifo.sched s in
-        let budget, _ = Monitor.fairness_measured ~rate:(Workload.rate_of w) () in
-        {
-          Run.sched = sched;
-          monitors =
-            [
-              Monitor.work_conserving ();
-              Monitor.conservation ~size:sched.Sched.size ();
-              budget;
-            ];
-          on_reweight = None;
-        })
-
-(* Rank-program cells: every Programs port through the Pifo_sched
-   runtime faces the same monitor set as its hand-written counterpart
-   over a 90-trace slice of the theorem pool — pifo-sfq/pifo-scfq keep
-   the full theorem sets (equivalence with the fast path is the
-   point), the clock- and GPS-driven ports carry the structural
-   invariants like their float originals in [structural_cells]. *)
 let pifo_cells ?(pool = theorem_pool) () =
   let open Sfq_pifo in
-  let pool = List.filteri (fun i _ -> i < 90) pool in
+  let slice = List.filteri (fun i _ -> i < 90) pool in
   let specs (w : Workload.t) =
     List.map
       (fun (f, r) -> (f, { Delay_edd.rate = r; deadline = 1.0; max_len = 1000 }))
       w.Workload.weights
   in
-  let structural_cell what mk =
+  let structural_cell what pool mk =
     cells ~what pool ~driver:(fun w ->
         {
           Run.sched = Pifo_sched.sched (Pifo_sched.create (mk w));
@@ -276,16 +243,30 @@ let pifo_cells ?(pool = theorem_pool) () =
           monitors = scfq_set w ~vtime:(fun () -> Pifo_sched.vtime s);
           on_reweight = None;
         })
-  @ structural_cell "pifo-vc" (fun w -> Programs.virtual_clock (weights_of w))
-  @ structural_cell "pifo-edd" (fun w -> Programs.delay_edd (specs w))
-  @ structural_cell "pifo-fqs" (fun w ->
+  @ structural_cell "pifo-vc" pool (fun w -> Programs.virtual_clock (weights_of w))
+  @ structural_cell "pifo-edd" slice (fun w -> Programs.delay_edd (specs w))
+  @ structural_cell "pifo-fqs" slice (fun w ->
         Programs.fqs ~capacity:w.Workload.capacity (weights_of w))
-  @ structural_cell "pifo-wf2q" (fun w ->
+  @ structural_cell "pifo-wf2q" slice (fun w ->
         Programs.wf2q ~capacity:w.Workload.capacity (weights_of w))
+  @ cells ~what:"sp-pifo" pool ~driver:(fun w ->
+        let s = Pifo_sched.create ~banks:8 (Programs.sfq (weights_of w)) in
+        let sched = Pifo_sched.sched s in
+        let budget, _ = Monitor.fairness_measured ~rate:(Workload.rate_of w) () in
+        {
+          Run.sched;
+          monitors =
+            [
+              Monitor.work_conserving ();
+              Monitor.conservation ~size:sched.Sched.size ();
+              budget;
+            ];
+          on_reweight = None;
+        })
 
 let all_cells () =
   sfq_cells () @ scfq_cells () @ sfq_override_cells () @ structural_cells ()
-  @ reweight_cells () @ stress_cells () @ fastpath_cells () @ pifo_cells ()
+  @ reweight_cells () @ stress_cells () @ pifo_cells ()
 
 (* The full SFQ theorem set presupposes a loss-free run, so the
    buffer-overflow mutant gets the stress set (its expected monitor,

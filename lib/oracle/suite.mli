@@ -69,33 +69,26 @@ val stress_cells : ?pool:Workload.t list -> unit -> Run.cell list
 (** All nine disciplines under {!stress_set} over the churn/overload
     {!stress_pool} by default; labels ["<disc>+stress#i"]. *)
 
-val fastpath_cells : ?pool:Workload.t list -> unit -> Run.cell list
-(** The fixed-point disciplines over [pool] (default {!theorem_pool}):
-    sfq-fast (the {!Sfq_pifo.Pifo_sched} runtime running
-    {!Sfq_pifo.Programs.sfq}, as [Disc] builds it) under the full SFQ
-    theorem set, scfq-fast under the SCFQ
-    set, vc-fast under the structural invariants, and sp-pifo under
+val pifo_cells : ?pool:Workload.t list -> unit -> Run.cell list
+(** Every {!Sfq_pifo.Programs} rank program on the
+    {!Sfq_pifo.Pifo_sched} runtime (the engine [Disc] serves as
+    sfq-fast/scfq-fast/vc-fast), under its hand-written counterpart's
+    monitor set: pifo-sfq under the full SFQ theorem set, pifo-scfq
+    under the SCFQ set and pifo-vc under the structural invariants
+    over the whole [pool] (default {!theorem_pool}); pifo-edd,
+    pifo-fqs and pifo-wf2q under the structural invariants over its
+    first 90 traces; and sp-pifo (pifo-sfq over 8 banks) under
     structural + conservation + the {e relaxed} fairness oracle
     ({!Monitor.fairness_measured}, which records a budget and never
-    fails). Labels ["sfq-fast#i"], ["scfq-fast#i"], ["vc-fast#i"],
+    fails) over the whole pool. Labels ["pifo-<disc>#i"],
     ["sp-pifo#i"]. *)
-
-val pifo_cells : ?pool:Workload.t list -> unit -> Run.cell list
-(** Every {!Sfq_pifo.Programs} rank program through the
-    {!Sfq_pifo.Pifo_sched} runtime, over the first 90 traces of [pool]
-    (default {!theorem_pool}): pifo-sfq under the full SFQ theorem
-    set, pifo-scfq under the SCFQ set, and the clock-/GPS-driven ports
-    (pifo-vc, pifo-edd, pifo-fqs, pifo-wf2q) under the structural
-    invariants, mirroring their float originals' sets. Labels
-    ["pifo-<disc>#i"]. *)
 
 val all_cells : unit -> Run.cell list
 (** The whole acceptance sweep, in a fixed order: {!sfq_cells},
     {!scfq_cells}, {!sfq_override_cells}, {!structural_cells},
-    {!reweight_cells}, {!stress_cells}, {!fastpath_cells},
-    {!pifo_cells} — 2700 cells. Cells are only ever appended, so
-    registry indices (and the seeds derived from them) stay stable
-    across versions. *)
+    {!reweight_cells}, {!stress_cells}, {!pifo_cells} — 2430 cells.
+    No cell derives anything from its index, so the digest depends
+    only on the cells present and their order. *)
 
 val mutant_cells : unit -> (Mutant.mode * Run.cell) list
 (** One cell per seeded bug: the mutant scheduler under the full SFQ

@@ -15,15 +15,15 @@ let create ?frac_bits weights =
 
 let codec t = t.codec
 
+let cover a flow fill =
+  let n = Array.length a in
+  let b = Array.make (Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1))) fill in
+  Array.blit a 0 b 0 n;
+  b
+
 let grow t flow =
-  let n = Array.length t.tag in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
-  let tag = Array.make cap 0 in
-  Array.blit t.tag 0 tag 0 n;
-  t.tag <- tag;
-  let sor = Array.make cap 0.0 in
-  Array.blit t.sor 0 sor 0 n;
-  t.sor <- sor
+  t.tag <- cover t.tag flow 0;
+  t.sor <- cover t.sor flow 0.0
 
 (* Cold path: first packet of a flow activation. Reads the weight
    function (a boxed-float closure call), never on the steady path. *)

@@ -18,6 +18,12 @@ open Sfq_base
 
 type t
 
+val cover : 'a array -> Packet.flow -> 'a -> 'a array
+(** [cover a flow fill]: a copy of the dense per-flow array [a] grown
+    to hold index [flow] (at least doubled, at least 16 slots), new
+    slots set to [fill]. The growth policy of every per-flow array in
+    this library. *)
+
 val create : ?frac_bits:int -> Weights.t -> t
 (** Fresh state over a {!Tag} codec with [frac_bits]
     fractional bits (default 20). *)

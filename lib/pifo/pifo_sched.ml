@@ -2,6 +2,13 @@ open Sfq_util
 open Sfq_base
 open Sfq_sched
 
+(* The rank store, chosen once at creation. The exact path reads [main]
+   directly; the other two carry their own state. *)
+type stage =
+  | Exact  (* unshaped: one Iflow_heap, [main] *)
+  | Shaped  (* [shaper] Iflow_heap feeding the [eligible] Iheap *)
+  | Banked of Sp_pifo.t  (* unshaped over SP-PIFO banks *)
+
 type t = {
   prog : Rank_program.t;
   regs : Rank_program.regs;  (* prog.regs, cached to skip a load *)
@@ -12,7 +19,7 @@ type t = {
   on_dequeue : key:int -> aux:int -> empty:bool -> unit;
   on_idle : unit -> unit;
   horizon : now:float -> int;
-  shaped : bool;
+  stage : stage;
   tie : Tag_queue.tie;
   arrival : bool;  (* tie = Arrival: the encoded tie is always 0 *)
   main : Packet.t Iflow_heap.t;  (* unshaped service stage *)
@@ -28,21 +35,9 @@ type t = {
   mutable last_now : float;  (* shaped: clock for now-less peek *)
 }
 
-let tie_value tie flow =
-  match (tie : Tag_queue.tie) with
-  | Arrival -> 0.0
-  | Low_rate w -> w flow
-  | High_rate w -> -.w flow
-
 let grow_ties t flow =
-  let n = Array.length t.ties in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
-  let ties = Array.make cap 0 in
-  Array.blit t.ties 0 ties 0 n;
-  t.ties <- ties;
-  let ok = Array.make cap false in
-  Array.blit t.tie_ok 0 ok 0 n;
-  t.tie_ok <- ok
+  t.ties <- Flow_state.cover t.ties flow 0;
+  t.tie_ok <- Flow_state.cover t.tie_ok flow false
 
 let tie_of t flow =
   if t.arrival then 0
@@ -50,27 +45,26 @@ let tie_of t flow =
     if flow >= Array.length t.ties then grow_ties t flow;
     if t.tie_ok.(flow) then t.ties.(flow)
     else begin
-      let e = Tag.tie_encode (tie_value t.tie flow) in
+      let e = Tag.tie_encode (Tag_queue.tie_value t.tie flow) in
       t.ties.(flow) <- e;
       t.tie_ok.(flow) <- true;
       e
     end
   end
 
-let grow_counts t flow =
-  let n = Array.length t.counts in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
-  let counts = Array.make cap 0 in
-  Array.blit t.counts 0 counts 0 n;
-  t.counts <- counts
-
 let bump t flow d =
-  if flow >= Array.length t.counts then grow_counts t flow;
+  if flow >= Array.length t.counts then t.counts <- Flow_state.cover t.counts flow 0;
   t.counts.(flow) <- t.counts.(flow) + d
 
 let size_unshaped t = Iflow_heap.size t.main
 let size_shaped t = Iflow_heap.size t.shaper + Iheap.length t.eligible
-let size t = if t.shaped then size_shaped t else size_unshaped t
+
+let size t =
+  match t.stage with
+  | Exact -> size_unshaped t
+  | Shaped -> size_shaped t
+  | Banked b -> Sp_pifo.size b
+
 let is_empty t = size t = 0
 
 let backlog_unshaped t flow = Iflow_heap.backlog t.main flow
@@ -79,9 +73,23 @@ let backlog_shaped t flow =
   if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) else 0
 
 let backlog t flow =
-  if t.shaped then backlog_shaped t flow else backlog_unshaped t flow
+  match t.stage with
+  | Exact -> backlog_unshaped t flow
+  | Shaped -> backlog_shaped t flow
+  | Banked b -> Sp_pifo.backlog b flow
 
-let create ?(tie = Tag_queue.Arrival) ?capacity prog =
+let create ?(tie = Tag_queue.Arrival) ?banks prog =
+  let arrival = match tie with Tag_queue.Arrival -> true | _ -> false in
+  let shaped = prog.Rank_program.shaped in
+  let stage =
+    match banks with
+    | None -> if shaped then Shaped else Exact
+    | Some _ when shaped ->
+      invalid_arg "Pifo_sched.create: banks need an unshaped program"
+    | Some _ when not arrival ->
+      invalid_arg "Pifo_sched.create: banks need the Arrival tie"
+    | Some n -> Banked (Sp_pifo.create ~banks:n)
+  in
   let t =
     {
       prog;
@@ -90,11 +98,11 @@ let create ?(tie = Tag_queue.Arrival) ?capacity prog =
       on_dequeue = prog.Rank_program.on_dequeue;
       on_idle = prog.Rank_program.on_idle;
       horizon = prog.Rank_program.horizon;
-      shaped = prog.Rank_program.shaped;
+      stage;
       tie;
-      arrival = (match tie with Tag_queue.Arrival -> true | _ -> false);
-      main = Iflow_heap.create ?capacity ();
-      shaper = Iflow_heap.create ?capacity ();
+      arrival;
+      main = Iflow_heap.create ();
+      shaper = Iflow_heap.create ();
       eligible = Iheap.create ();
       counts = [||];
       ties = [||];
@@ -137,8 +145,21 @@ let enqueue_shaped t ~now pkt =
   Iflow_heap.push t.shaper ~flow ~key:ekey ~aux:key ~tie pkt;
   bump t flow 1
 
+(* The banked stage admits exactly like the exact one; only the store
+   differs (banks require the Arrival tie, so there is none to encode). *)
+let enqueue_banked t b ~now pkt =
+  check_flow pkt.Packet.flow;
+  let key = clamp_rank (t.rank ~now pkt) in
+  let aux = t.regs.Rank_program.aux in
+  if key > t.high then t.high <- key;
+  if aux > t.high then t.high <- clamp_rank aux;
+  Sp_pifo.push b ~key ~aux pkt
+
 let enqueue t ~now pkt =
-  if t.shaped then enqueue_shaped t ~now pkt else enqueue_unshaped t ~now pkt
+  match t.stage with
+  | Exact -> enqueue_unshaped t ~now pkt
+  | Shaped -> enqueue_shaped t ~now pkt
+  | Banked b -> enqueue_banked t b ~now pkt
 
 (* Shaped stage transfer: entries whose eligibility rank the horizon
    has passed move to the service heap keyed by their service rank
@@ -210,15 +231,35 @@ let dequeue_unshaped t =
   end
   else Some (dequeue_unshaped_exn t)
 
+(* Banks serve by priority, not by rank, so the served key may sit
+   below an earlier one; the program's on_dequeue never moves v back. *)
+let dequeue_banked_exn t b =
+  let pkt = Sp_pifo.pop_exn b in
+  t.on_dequeue ~key:(Sp_pifo.last_key b) ~aux:(Sp_pifo.last_aux b)
+    ~empty:(Sp_pifo.is_empty b);
+  pkt
+
+let dequeue_banked t b =
+  if Sp_pifo.is_empty b then begin
+    t.on_idle ();
+    None
+  end
+  else Some (dequeue_banked_exn t b)
+
 let dequeue_exn t =
-  if t.shaped then
+  match t.stage with
+  | Exact -> dequeue_unshaped_exn t
+  | Shaped -> (
     match serve_shaped t ~now:t.last_now with
     | Some pkt -> pkt
-    | None -> invalid_arg "Pifo_sched.dequeue_exn: empty"
-  else dequeue_unshaped_exn t
+    | None -> invalid_arg "Pifo_sched.dequeue_exn: empty")
+  | Banked b -> dequeue_banked_exn t b
 
 let dequeue t ~now =
-  if t.shaped then dequeue_shaped t ~now else dequeue_unshaped t
+  match t.stage with
+  | Exact -> dequeue_unshaped t
+  | Shaped -> dequeue_shaped t ~now
+  | Banked b -> dequeue_banked t b
 
 let peek_unshaped t =
   match Iflow_heap.peek t.main with
@@ -234,47 +275,63 @@ let peek_shaped t =
     | Some e -> Some e.Iflow_heap.value
     | None -> None)
 
-let peek t = if t.shaped then peek_shaped t else peek_unshaped t
+let peek t =
+  match t.stage with
+  | Exact -> peek_unshaped t
+  | Shaped -> peek_shaped t
+  | Banked b -> Sp_pifo.peek b
 
 (* Eviction keeps every tag the program assigned: dropped virtual
    service stays charged to the flow (eq. 4, conservative). A flow's
    promoted entries are strictly older than its shaper entries, so
    Oldest looks in the service heap first and Newest in the shaper
    first. *)
-let evict t victim flow =
-  if t.shaped then begin
-    let pred p = p.Packet.flow = flow in
-    let found =
-      match (victim : Sched.victim) with
-      | Sched.Oldest -> (
-        match Iheap.remove_matching t.eligible ~pred with
-        | Some (_, p) -> Some p
-        | None -> (
-          match Iflow_heap.evict_front t.shaper flow with
-          | Some e -> Some e.Iflow_heap.value
-          | None -> None))
-      | Sched.Newest -> (
-        match Iflow_heap.evict_back t.shaper flow with
+let evict_shaped t victim flow =
+  let pred p = p.Packet.flow = flow in
+  let found =
+    match (victim : Sched.victim) with
+    | Sched.Oldest -> (
+      match Iheap.remove_matching t.eligible ~pred with
+      | Some (_, p) -> Some p
+      | None -> (
+        match Iflow_heap.evict_front t.shaper flow with
         | Some e -> Some e.Iflow_heap.value
-        | None -> (
-          match Iheap.remove_matching ~newest:true t.eligible ~pred with
-          | Some (_, p) -> Some p
-          | None -> None))
-    in
-    (match found with Some _ -> bump t flow (-1) | None -> ());
-    found
-  end
-  else
-    let popped =
-      match (victim : Sched.victim) with
-      | Sched.Oldest -> Iflow_heap.evict_front t.main flow
-      | Sched.Newest -> Iflow_heap.evict_back t.main flow
-    in
-    match popped with None -> None | Some p -> Some p.Iflow_heap.value
+        | None -> None))
+    | Sched.Newest -> (
+      match Iflow_heap.evict_back t.shaper flow with
+      | Some e -> Some e.Iflow_heap.value
+      | None -> (
+        match Iheap.remove_matching ~newest:true t.eligible ~pred with
+        | Some (_, p) -> Some p
+        | None -> None))
+  in
+  (match found with Some _ -> bump t flow (-1) | None -> ());
+  found
+
+let evict_unshaped t victim flow =
+  let popped =
+    match (victim : Sched.victim) with
+    | Sched.Oldest -> Iflow_heap.evict_front t.main flow
+    | Sched.Newest -> Iflow_heap.evict_back t.main flow
+  in
+  match popped with None -> None | Some p -> Some p.Iflow_heap.value
+
+let evict_banked b victim flow =
+  match (victim : Sched.victim) with
+  | Sched.Oldest -> Sp_pifo.evict_front b flow
+  | Sched.Newest -> Sp_pifo.evict_back b flow
+
+let evict t victim flow =
+  match t.stage with
+  | Exact -> evict_unshaped t victim flow
+  | Shaped -> evict_shaped t victim flow
+  | Banked b -> evict_banked b victim flow
 
 let close_flow t ~now flow =
   let flushed =
-    if t.shaped then begin
+    match t.stage with
+    | Banked b -> Sp_pifo.flush_flow b flow
+    | Shaped ->
       let pred p = p.Packet.flow = flow in
       let rec drain acc =
         match Iheap.remove_matching t.eligible ~pred with
@@ -289,8 +346,7 @@ let close_flow t ~now flow =
       in
       if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) <- 0;
       released @ waiting
-    end
-    else
+    | Exact ->
       List.map (fun p -> p.Iflow_heap.value) (Iflow_heap.flush_flow t.main flow)
   in
   if flow >= 0 && flow < Array.length t.ties then begin
@@ -303,33 +359,46 @@ let close_flow t ~now flow =
 let vtime t = t.prog.Rank_program.vtime ()
 let high_tag t = t.high
 let saturated t = Tag.is_saturated t.high
-let program t = t.prog
 
-(* The closure set is chosen once, here, from the program's [shaped]
-   flag, so the per-packet calls through [Sched.t] skip the shaped
-   branches entirely. *)
+(* The closure set is chosen once, here, from the stage fixed at
+   creation, so the per-packet calls through [Sched.t] never test for
+   the other stages. *)
 let sched t =
-  let evict ~now:_ victim flow = evict t victim flow in
+  let name = t.prog.Rank_program.name in
   let close_flow ~now flow = close_flow t ~now flow in
-  if t.shaped then
+  match t.stage with
+  | Exact ->
     {
-      Sched.name = t.prog.Rank_program.name;
-      enqueue = (fun ~now pkt -> enqueue_shaped t ~now pkt);
-      dequeue = (fun ~now -> dequeue_shaped t ~now);
-      peek = (fun () -> peek_shaped t);
-      size = (fun () -> size_shaped t);
-      backlog = (fun flow -> backlog_shaped t flow);
-      evict;
-      close_flow;
-    }
-  else
-    {
-      Sched.name = t.prog.Rank_program.name;
+      Sched.name;
       enqueue = (fun ~now pkt -> enqueue_unshaped t ~now pkt);
       dequeue = (fun ~now:_ -> dequeue_unshaped t);
       peek = (fun () -> peek_unshaped t);
       size = (fun () -> size_unshaped t);
       backlog = (fun flow -> backlog_unshaped t flow);
-      evict;
+      evict = (fun ~now:_ victim flow -> evict_unshaped t victim flow);
       close_flow;
     }
+  | Shaped ->
+    {
+      Sched.name;
+      enqueue = (fun ~now pkt -> enqueue_shaped t ~now pkt);
+      dequeue = (fun ~now -> dequeue_shaped t ~now);
+      peek = (fun () -> peek_shaped t);
+      size = (fun () -> size_shaped t);
+      backlog = (fun flow -> backlog_shaped t flow);
+      evict = (fun ~now:_ victim flow -> evict_shaped t victim flow);
+      close_flow;
+    }
+  | Banked b ->
+    {
+      Sched.name;
+      enqueue = (fun ~now pkt -> enqueue_banked t b ~now pkt);
+      dequeue = (fun ~now:_ -> dequeue_banked t b);
+      peek = (fun () -> Sp_pifo.peek b);
+      size = (fun () -> Sp_pifo.size b);
+      backlog = (fun flow -> Sp_pifo.backlog b flow);
+      evict = (fun ~now:_ victim flow -> evict_banked b victim flow);
+      close_flow;
+    }
+
+let banks t = match t.stage with Banked b -> Some b | Exact | Shaped -> None

@@ -11,18 +11,23 @@
     the optional two-stage shaper for {!Rank_program.shaped}
     disciplines.
 
-    This is the only int-tag engine for the exact disciplines: the
-    ["sfq-fast"], ["scfq-fast"] and ["vc-fast"] names of
-    [Sfq_experiments.Disc] are this runtime running {!Programs.sfq},
-    {!Programs.scfq} and {!Programs.virtual_clock}.
+    This is the only int-tag engine: the ["sfq-fast"], ["scfq-fast"],
+    ["vc-fast"] and ["sp-pifo"] names of [Sfq_experiments.Disc] are
+    this runtime running {!Programs.sfq}, {!Programs.scfq},
+    {!Programs.virtual_clock} and {!Programs.sfq} over banks.
 
-    Layout per stage:
-    - unshaped: a single {!Sfq_sched.Iflow_heap} (per-flow FIFO rings,
-      heads-only int heap). [enqueue]/[dequeue_exn] allocate nothing in
-      steady state — the rank call is closure dispatch with int
-      arguments, per-packet outputs travel through the program's
+    One runtime, two rank stores; the layout is chosen once at
+    {!create}:
+    - exact (unshaped, the default): a single {!Sfq_sched.Iflow_heap}
+      (per-flow FIFO rings, heads-only int heap), serving in exact
+      [(rank, tie, uid)] order. [enqueue]/[dequeue_exn] allocate
+      nothing in steady state — the rank call is closure dispatch with
+      int arguments, per-packet outputs travel through the program's
       pre-allocated {!Rank_program.regs} cell.
-    - shaped (WF²Q): packets wait in a shaper [Iflow_heap] keyed by
+    - banked ([~banks]): SP-PIFO's strict-priority FIFO banks
+      ({!Sp_pifo}), an approximate store — the served rank may be
+      below one served earlier. Same zero-allocation contract.
+    - shaped (WF²Q), exact stores only: packets wait in a shaper [Iflow_heap] keyed by
       eligibility rank and move to a service {!Sfq_util.Iheap} keyed by
       service rank once {!Rank_program.t.horizon} passes their
       eligibility — carrying their original arrival uid, so ties
@@ -39,12 +44,14 @@ open Sfq_base
 
 type t
 
-val create :
-  ?tie:Sfq_sched.Tag_queue.tie -> ?capacity:int -> Rank_program.t -> t
+val create : ?tie:Sfq_sched.Tag_queue.tie -> ?banks:int -> Rank_program.t -> t
 (** Build a runtime instance around a rank program. [tie] refines
     ordering among equal ranks of different flows (default
-    [Arrival]); [capacity] pre-sizes the flow-head heap. Calls the
-    program's [attach] hook with this instance's [size] thunk. *)
+    [Arrival]); [banks] selects the SP-PIFO bank store with that many
+    banks instead of the exact store. Calls the program's [attach]
+    hook with this instance's [size] thunk.
+    @raise Invalid_argument if [banks < 1], or if [banks] is given
+    with a shaped program or a tie other than [Arrival]. *)
 
 val enqueue : t -> now:float -> Packet.t -> unit
 (** Rank and admit one packet.
@@ -80,12 +87,15 @@ val saturated : t -> bool
     program's order may have degraded to (tie, arrival); see {!Tag}
     for the per-flow headroom. *)
 
-val program : t -> Rank_program.t
+val banks : t -> Sp_pifo.t option
+(** The bank store of a [~banks] instance, for its introspection
+    ({!Sp_pifo.bounds}, {!Sp_pifo.pushups}, ...); [None] otherwise. *)
 
 val sched : t -> Sched.t
 (** The full {!Sched.t} surface under the program's name, so [Disc],
     the netsim server, sweeps, tracing and [Buffered] work unchanged.
-    The closures are picked once from {!Rank_program.t.shaped}: an
-    unshaped program's view never tests for the shaper. Its [dequeue]
+    The closures are picked once from the store and
+    {!Rank_program.t.shaped}: the exact view never tests for the
+    shaper or the banks. Its [dequeue]
     pays the [Some] box; the zero-allocation contract applies to
     {!enqueue} and {!dequeue_exn}. *)

@@ -18,7 +18,7 @@ let sfq ?(busy_rule = Sfq_core.Sfq.Idle_poll) ?frac_bits weights =
         stag);
     on_dequeue =
       (fun ~key ~aux ~empty ->
-        v := key;
+        if key > !v then v := key;
         if aux > !mfs then mfs := aux;
         (* The deliberately wrong ablation variant, as in the float Sfq. *)
         if on_empty && empty then v := !mfs);

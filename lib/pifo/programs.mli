@@ -9,8 +9,9 @@
 
     [sfq], [scfq] and [virtual_clock] are also the engines behind the
     ["sfq-fast"], ["scfq-fast"] and ["vc-fast"] disciplines of
-    [Sfq_experiments.Disc], which rename the runtime's [Sched.t] view
-    and change nothing else.
+    [Sfq_experiments.Disc], and [sfq] over the runtime's bank store is
+    ["sp-pifo"]; Disc renames the runtime's [Sched.t] view and changes
+    nothing else.
 
     Quantization, rate-snapshot and saturation caveats are those of the
     fixed-point codec (see {!Tag} and {!Flow_state}). Tie-breaking
@@ -22,9 +23,11 @@ open Sfq_base
 val sfq :
   ?busy_rule:Sfq_core.Sfq.busy_rule -> ?frac_bits:int -> Weights.t -> Rank_program.t
 (** Start-time fair queueing, eqs. 4–5: rank = start tag
-    [max (v, F_prev)], [v] follows the served start tag, busy rule as
-    in the float original (default [Idle_poll]). Honors per-packet
-    rate overrides. Name ["pifo-sfq"]. *)
+    [max (v, F_prev)]; [v] advances to the served start tag and never
+    moves back (on the exact store the served tag is never below [v];
+    on banks an inversion may serve a smaller one). Busy rule as in the
+    float original (default [Idle_poll]). Honors per-packet rate
+    overrides. Name ["pifo-sfq"]. *)
 
 val scfq : ?frac_bits:int -> Weights.t -> Rank_program.t
 (** Self-clocked fair queueing (eq. 56): rank = finish tag, [v] =

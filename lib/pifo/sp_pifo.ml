@@ -1,208 +1,151 @@
 open Sfq_base
 
-(* SP-PIFO-style approximation of SFQ (Alcoz, Dietmüller, Vanbever,
-   NSDI'20): ranks — here SFQ start tags, fixed-point — are mapped onto
-   N strict-priority FIFO banks whose admission bounds adapt online.
-
-   Admission of a packet with rank r scans banks from lowest priority
-   (index n-1) to highest (index 0) and picks the first whose bound is
-   <= r, then raises that bound to r ("push-up"). If even the top
-   bank's bound exceeds r, the inversion is unavoidable: the packet
-   enters the top bank and every bound is decreased by (bound_0 - r)
-   ("push-down"), so subsequent small ranks regain headroom. Bounds
-   stay sorted ascending by construction: push-up at index i only
-   happens after indices > i were rejected (their bounds exceed r), and
-   push-down shifts all bounds by a constant.
-
-   Service is strict priority: pop the head of the first non-empty
-   bank. Within a bank, FIFO. The result approximates rank order with
-   O(number of banks) admission and O(1)-per-bank service, at the cost
-   of rank inversions — including within a flow, which is why this
-   scheduler is monitored by the *relaxed* fairness oracle (a measured
-   budget) rather than the theorem monitors, and is excluded from the
-   per-flow FIFO invariant checks.
-
-   Tag bookkeeping is Flow_state.advance (eq. 4 with cached
-   scale/rate, as in the SFQ rank program); the virtual clock v is
-   advanced monotonically to the rank in service so reactivating flows
-   keep entering at a sane point even after inversions. Steady-state
-   enqueue/dequeue allocate nothing. *)
+(* SP-PIFO (Alcoz, Dietmüller, Vanbever, NSDI'20); the admission rule
+   is described in the interface. Bounds stay sorted ascending by
+   construction: push-up at index i only happens after indices > i
+   were rejected (their bounds exceed the rank), and push-down shifts
+   all bounds by a constant. Every entry carries its global arrival
+   number, so eviction and flushing follow arrival order whatever bank
+   holds the packet. *)
 
 type bank = {
-  mutable branks : int array;  (* rank (start tag) of each queued packet *)
-  mutable bftags : int array;  (* finish tag, for v bookkeeping *)
-  mutable buids : int array;   (* global arrival number *)
+  mutable bkeys : int array;  (* rank of each queued packet *)
+  mutable bauxs : int array;  (* the runtime's aux output *)
+  mutable buids : int array;  (* global arrival number *)
   mutable bdata : Packet.t array;
   mutable bhead : int;
   mutable blen : int;
 }
 
 let bank_make () =
-  { branks = [||]; bftags = [||]; buids = [||]; bdata = [||]; bhead = 0; blen = 0 }
+  { bkeys = [||]; bauxs = [||]; buids = [||]; bdata = [||]; bhead = 0; blen = 0 }
+
+(* A doubled copy of a ring's backing array, unwrapped so the oldest
+   entry lands at index 0. *)
+let unwrap a ~head ~cap fill =
+  let b = Array.make cap fill in
+  let tail = Array.length a - head in
+  Array.blit a head b 0 tail;
+  Array.blit a 0 b tail head;
+  b
 
 let bank_grow b v =
-  let cur = Array.length b.bdata in
-  if cur = 0 then begin
-    b.branks <- Array.make 8 0;
-    b.bftags <- Array.make 8 0;
-    b.buids <- Array.make 8 0;
-    b.bdata <- Array.make 8 v
-  end
-  else if b.blen = cur then begin
-    let cap = 2 * cur in
-    let branks = Array.make cap 0
-    and bftags = Array.make cap 0
-    and buids = Array.make cap 0
-    and bdata = Array.make cap v in
-    let tail = cur - b.bhead in
-    Array.blit b.branks b.bhead branks 0 tail;
-    Array.blit b.bftags b.bhead bftags 0 tail;
-    Array.blit b.buids b.bhead buids 0 tail;
-    Array.blit b.bdata b.bhead bdata 0 tail;
-    Array.blit b.branks 0 branks tail b.bhead;
-    Array.blit b.bftags 0 bftags tail b.bhead;
-    Array.blit b.buids 0 buids tail b.bhead;
-    Array.blit b.bdata 0 bdata tail b.bhead;
-    b.branks <- branks;
-    b.bftags <- bftags;
-    b.buids <- buids;
-    b.bdata <- bdata;
+  if b.blen = Array.length b.bdata then begin
+    let head = b.bhead and cap = Stdlib.max 8 (2 * b.blen) in
+    b.bkeys <- unwrap b.bkeys ~head ~cap 0;
+    b.bauxs <- unwrap b.bauxs ~head ~cap 0;
+    b.buids <- unwrap b.buids ~head ~cap 0;
+    b.bdata <- unwrap b.bdata ~head ~cap v;
     b.bhead <- 0
   end
 
-let bank_push b ~rank ~ftag ~uid pkt =
+let bank_push b ~key ~aux ~uid pkt =
   bank_grow b pkt;
   let i = (b.bhead + b.blen) land (Array.length b.bdata - 1) in
-  b.branks.(i) <- rank;
-  b.bftags.(i) <- ftag;
+  b.bkeys.(i) <- key;
+  b.bauxs.(i) <- aux;
   b.buids.(i) <- uid;
   b.bdata.(i) <- pkt;
   b.blen <- b.blen + 1
 
 (* Remove the k-th queued entry (0 = head) by shifting the tail left.
-   Off the hot path: only eviction/closure use it. *)
+   Off the hot path: only eviction/flushing use it. *)
 let bank_remove_at b k =
   let mask = Array.length b.bdata - 1 in
   for j = k to b.blen - 2 do
     let dst = (b.bhead + j) land mask in
     let src = (b.bhead + j + 1) land mask in
-    b.branks.(dst) <- b.branks.(src);
-    b.bftags.(dst) <- b.bftags.(src);
+    b.bkeys.(dst) <- b.bkeys.(src);
+    b.bauxs.(dst) <- b.bauxs.(src);
     b.buids.(dst) <- b.buids.(src);
     b.bdata.(dst) <- b.bdata.(src)
   done;
   b.blen <- b.blen - 1
 
 type t = {
-  fs : Flow_state.t;  (* per-flow finish tags and cached scale/rate *)
   nbanks : int;
   bounds : int array;
   banks : bank array;
   mutable counts : int array;  (* per-flow backlog *)
-  mutable v : int;
-  mutable max_finish_served : int;
   mutable total : int;
   mutable next_uid : int;
-  mutable high : int;
   mutable pushups : int;
   mutable pushdowns : int;
+  mutable last_key : int;
+  mutable last_aux : int;
 }
 
-let create ?(banks = 8) ?frac_bits weights =
+let create ~banks =
   if banks < 1 then invalid_arg "Sp_pifo.create: banks must be >= 1";
   {
-    fs = Flow_state.create ?frac_bits weights;
     nbanks = banks;
     bounds = Array.make banks 0;
     banks = Array.init banks (fun _ -> bank_make ());
     counts = [||];
-    v = 0;
-    max_finish_served = 0;
     total = 0;
     next_uid = 0;
-    high = 0;
     pushups = 0;
     pushdowns = 0;
+    last_key = 0;
+    last_aux = 0;
   }
 
-let grow_counts t flow =
-  let n = Array.length t.counts in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
-  let counts = Array.make cap 0 in
-  Array.blit t.counts 0 counts 0 n;
-  t.counts <- counts
-
-let enqueue t ~now:_ pkt =
+let push t ~key ~aux pkt =
   let flow = pkt.Packet.flow in
-  if flow < 0 then invalid_arg "Sp_pifo.enqueue: flow id must be >= 0";
-  (* eq. 4: rank = max (v, F_prev); the finish tag lands in [last] *)
-  let rank = Flow_state.advance t.fs ~floor:t.v pkt in
-  let ftag = Flow_state.last t.fs in
-  if ftag > t.high then t.high <- ftag;
-  if flow >= Array.length t.counts then grow_counts t flow;
+  if flow >= Array.length t.counts then t.counts <- Flow_state.cover t.counts flow 0;
   t.counts.(flow) <- t.counts.(flow) + 1;
   t.total <- t.total + 1;
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
-  (* scan lowest priority -> highest for the first bound <= rank *)
+  (* scan lowest priority -> highest for the first bound <= key *)
   let i = ref (t.nbanks - 1) in
-  while !i >= 0 && t.bounds.(!i) > rank do
+  while !i >= 0 && t.bounds.(!i) > key do
     decr i
   done;
   if !i >= 0 then begin
     (* push-up: the admitting bank's bound rises to the admitted rank *)
-    t.bounds.(!i) <- rank;
+    t.bounds.(!i) <- key;
     t.pushups <- t.pushups + 1;
-    bank_push t.banks.(!i) ~rank ~ftag ~uid pkt
+    bank_push t.banks.(!i) ~key ~aux ~uid pkt
   end
   else begin
     (* unavoidable inversion: admit at top, relax every bound down *)
-    let cost = t.bounds.(0) - rank in
+    let cost = t.bounds.(0) - key in
     for j = 0 to t.nbanks - 1 do
       t.bounds.(j) <- t.bounds.(j) - cost
     done;
     t.pushdowns <- t.pushdowns + 1;
-    bank_push t.banks.(0) ~rank ~ftag ~uid pkt
+    bank_push t.banks.(0) ~key ~aux ~uid pkt
   end
 
-let dequeue_exn t =
-  if t.total = 0 then invalid_arg "Sp_pifo.dequeue_exn: empty queue";
+let first_busy t =
   let i = ref 0 in
   while t.banks.(!i).blen = 0 do
     incr i
   done;
-  let b = t.banks.(!i) in
+  t.banks.(!i)
+
+let pop_exn t =
+  if t.total = 0 then invalid_arg "Sp_pifo.pop_exn: empty";
+  let b = first_busy t in
   let j = b.bhead in
-  let rank = b.branks.(j) and ftag = b.bftags.(j) in
+  t.last_key <- b.bkeys.(j);
+  t.last_aux <- b.bauxs.(j);
   let pkt = b.bdata.(j) in
   b.bhead <- (j + 1) land (Array.length b.bdata - 1);
   b.blen <- b.blen - 1;
   t.total <- t.total - 1;
   t.counts.(pkt.Packet.flow) <- t.counts.(pkt.Packet.flow) - 1;
-  (* monotone advance: inversions may serve an older (smaller) rank
-     after a newer one; v never moves backwards *)
-  if rank > t.v then t.v <- rank;
-  if ftag > t.max_finish_served then t.max_finish_served <- ftag;
   pkt
 
-let dequeue t ~now:_ =
-  if t.total = 0 then begin
-    (* idle poll, as in SFQ: a reactivating flow must not lag v *)
-    if t.max_finish_served > t.v then t.v <- t.max_finish_served;
-    None
-  end
-  else Some (dequeue_exn t)
+let last_key t = t.last_key
+let last_aux t = t.last_aux
 
 let peek t =
   if t.total = 0 then None
-  else begin
-    let i = ref 0 in
-    while t.banks.(!i).blen = 0 do
-      incr i
-    done;
-    let b = t.banks.(!i) in
+  else
+    let b = first_busy t in
     Some b.bdata.(b.bhead)
-  end
 
 let size t = t.total
 let is_empty t = t.total = 0
@@ -210,95 +153,45 @@ let is_empty t = t.total = 0
 let backlog t flow =
   if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) else 0
 
-let vtag t = t.v
-let vtime t = Tag.decode (Flow_state.codec t.fs) t.v
-let codec t = Flow_state.codec t.fs
 let banks t = t.nbanks
 let bounds t = Array.copy t.bounds
 let pushups t = t.pushups
 let pushdowns t = t.pushdowns
-let saturated t = Tag.is_saturated t.high
-let headroom t = Tag.headroom (Flow_state.codec t.fs) t.high
 
-(* Find flow's oldest (or newest) queued entry across all banks; return
-   (bank index, position) or (-1, _). O(total queued) — eviction path. *)
-let find_extreme t ~newest flow =
-  let bi = ref (-1) and bk = ref 0 and best_uid = ref 0 in
-  for i = 0 to t.nbanks - 1 do
-    let b = t.banks.(i) in
-    let mask = if Array.length b.bdata = 0 then 0 else Array.length b.bdata - 1 in
-    for k = 0 to b.blen - 1 do
-      let s = (b.bhead + k) land mask in
-      if b.bdata.(s).Packet.flow = flow then begin
-        let u = b.buids.(s) in
-        let take =
-          !bi < 0 || if newest then u > !best_uid else u < !best_uid
-        in
-        if take then begin
-          bi := i;
-          bk := k;
-          best_uid := u
-        end
-      end
-    done
-  done;
-  (!bi, !bk)
-
-let evict t victim flow =
-  if flow < 0 || flow >= Array.length t.counts || t.counts.(flow) = 0 then None
+(* Remove the flow's oldest (or newest) entry across all banks, by
+   arrival number. O(total queued) — the buffer-overflow path. *)
+let evict t ~newest flow =
+  if backlog t flow = 0 then None
   else begin
-    let newest = match (victim : Sched.victim) with Sched.Oldest -> false | Sched.Newest -> true in
-    let bi, bk = find_extreme t ~newest flow in
-    if bi < 0 then None
-    else begin
-      let b = t.banks.(bi) in
-      let s = (b.bhead + bk) land (Array.length b.bdata - 1) in
-      let pkt = b.bdata.(s) in
-      bank_remove_at b bk;
-      t.total <- t.total - 1;
-      t.counts.(flow) <- t.counts.(flow) - 1;
-      (* finish tag untouched: dropped virtual service stays charged *)
-      Some pkt
-    end
+    let bi = ref (-1) and bk = ref 0 and best = ref 0 in
+    Array.iteri
+      (fun i b ->
+        for k = 0 to b.blen - 1 do
+          let s = (b.bhead + k) land (Array.length b.bdata - 1) in
+          let u = b.buids.(s) in
+          if
+            b.bdata.(s).Packet.flow = flow
+            && (!bi < 0 || if newest then u > !best else u < !best)
+          then begin
+            bi := i;
+            bk := k;
+            best := u
+          end
+        done)
+      t.banks;
+    let b = t.banks.(!bi) in
+    let pkt = b.bdata.((b.bhead + !bk) land (Array.length b.bdata - 1)) in
+    bank_remove_at b !bk;
+    t.total <- t.total - 1;
+    t.counts.(flow) <- t.counts.(flow) - 1;
+    Some pkt
   end
 
-let close_flow t flow =
-  if flow < 0 || flow >= Array.length t.counts || t.counts.(flow) = 0 then begin
-    Flow_state.forget t.fs flow;
-    []
-  end
-  else begin
-    (* collect (uid, pkt) across banks, then compact each bank in place *)
-    let acc = ref [] in
-    for i = 0 to t.nbanks - 1 do
-      let b = t.banks.(i) in
-      let mask = if Array.length b.bdata = 0 then 0 else Array.length b.bdata - 1 in
-      let k = ref 0 in
-      while !k < b.blen do
-        let s = (b.bhead + !k) land mask in
-        if b.bdata.(s).Packet.flow = flow then begin
-          acc := (b.buids.(s), b.bdata.(s)) :: !acc;
-          bank_remove_at b !k
-        end
-        else incr k
-      done
-    done;
-    let n = List.length !acc in
-    t.total <- t.total - n;
-    t.counts.(flow) <- 0;
-    Flow_state.forget t.fs flow;
-    (* oldest first, as the other disciplines' close_flow returns *)
-    List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !acc)
-  end
+let evict_front t flow = evict t ~newest:false flow
+let evict_back t flow = evict t ~newest:true flow
 
-let sched t =
-  {
-    Sched.name = "sp-pifo";
-    enqueue = (fun ~now pkt -> enqueue t ~now pkt);
-    dequeue = (fun ~now -> dequeue t ~now);
-    peek = (fun () -> peek t);
-    size = (fun () -> size t);
-    backlog = (fun flow -> backlog t flow);
-    evict = (fun ~now:_ victim flow -> evict t victim flow);
-    close_flow = (fun ~now:_ flow -> close_flow t flow);
-  }
+let flush_flow t flow =
+  let rec drain acc =
+    match evict_front t flow with Some p -> drain (p :: acc) | None -> List.rev acc
+  in
+  drain []

@@ -1,9 +1,9 @@
 (** Fixed-point virtual-time tags: scaled int63 with saturation.
 
-    The int-tag disciplines (the {!Programs} rank programs on
-    {!Pifo_sched}, {!Pifo_tree} and {!Sp_pifo}) keep every start/finish
-    tag as [round (v * 2^frac_bits)] in a native int, so tag arithmetic
-    is integer adds and the priority queues ({!Sfq_sched.Iflow_heap},
+    The int-tag disciplines (the {!Programs} rank programs on either
+    {!Pifo_sched} store, and {!Pifo_tree}) keep every start/finish tag
+    as [round (v * 2^frac_bits)] in a native int, so tag arithmetic is
+    integer adds and the priority queues ({!Sfq_sched.Iflow_heap},
     {!Sfq_util.Iheap}) compare ints only. A codec value fixes the
     number of fractional bits; the default of 20 gives a quantum of
     2{^-20} ≈ 1e-6 virtual-time units and leaves ≈ 2{^41} whole units

@@ -91,9 +91,9 @@ type 'a t = {
   mutable last_flow : Packet.flow;
 }
 
-let create ?capacity () =
+let create () =
   {
-    heap = Iheap.create ?capacity ();
+    heap = Iheap.create ();
     rings = Flow_table.create ~default:(fun _ -> ring_make ());
     next_uid = 0;
     total = 0;
@@ -144,14 +144,6 @@ let last_aux t = t.last_aux
 let last_uid t = t.last_uid
 let last_flow t = t.last_flow
 
-let pop t =
-  if t.total = 0 then None
-  else begin
-    let v = pop_exn t in
-    Some { key = t.last_key; aux = t.last_aux; uid = t.last_uid;
-           flow = t.last_flow; value = v }
-  end
-
 let peek t =
   match Iheap.min t.heap with
   | None -> None
@@ -163,7 +155,6 @@ let peek t =
 let size t = t.total
 let is_empty t = t.total = 0
 let backlog t flow = match Flow_table.find_opt t.rings flow with None -> 0 | Some r -> r.len
-let active_flows t = Iheap.length t.heap
 
 (* ------------------------------------------------------------------ *)
 (* Eviction and flow teardown. All off the per-packet hot path: the
@@ -227,8 +218,3 @@ let flush_flow t flow =
        burst's peak capacity is not pinned forever *)
     Flow_table.remove t.rings flow;
     out
-
-let ring_capacity t flow =
-  match Flow_table.find_opt t.rings flow with
-  | None -> 0
-  | Some r -> Array.length r.rdata

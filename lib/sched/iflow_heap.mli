@@ -30,9 +30,7 @@ type 'a popped = {
   value : 'a;
 }
 
-val create : ?capacity:int -> unit -> 'a t
-(** [capacity] pre-sizes the flow-head heap (one slot per backlogged
-    flow, not per packet). *)
+val create : unit -> 'a t
 
 val push : 'a t -> flow:Packet.flow -> key:int -> aux:int -> tie:int -> 'a -> unit
 (** Append to [flow]'s FIFO. [tie] refines ordering among equal keys of
@@ -59,11 +57,8 @@ val last_uid : 'a t -> int
 val last_flow : 'a t -> Packet.flow
 (** Flow of the entry removed by the most recent {!pop_exn}. *)
 
-val pop : 'a t -> 'a popped option
-(** Allocating convenience wrapper over {!pop_exn}. *)
-
 val peek : 'a t -> 'a popped option
-(** Like {!pop} without removing. *)
+(** The entry {!pop_exn} would remove next, without removing it. *)
 
 val size : 'a t -> int
 (** Total queued entries across all flows. *)
@@ -72,9 +67,6 @@ val is_empty : 'a t -> bool
 
 val backlog : 'a t -> Packet.flow -> int
 (** Queued entries of one flow. *)
-
-val active_flows : 'a t -> int
-(** Number of backlogged flows (= current heap size). *)
 
 val evict_front : 'a t -> Packet.flow -> 'a popped option
 (** Remove [flow]'s oldest queued entry (its head), promoting the
@@ -90,7 +82,3 @@ val flush_flow : 'a t -> Packet.flow -> 'a popped list
 (** Remove every queued entry of [flow], oldest first, and discard the
     flow's ring entirely so a recycled id re-grows from scratch.
     Returns [[]] for an unknown or empty flow. *)
-
-val ring_capacity : 'a t -> Packet.flow -> int
-(** Allocated ring slots for [flow] (0 when it holds no ring) — exposed
-    so churn tests can assert {!flush_flow} releases burst capacity. *)

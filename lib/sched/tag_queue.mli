@@ -28,6 +28,11 @@ type tie = Arrival | Low_rate of (Packet.flow -> float) | High_rate of (Packet.f
     among equal tags prefer the flow with the smaller/larger weight
     under [w], then arrival order. *)
 
+val tie_value : tie -> Packet.flow -> float
+(** The flow's tie key, ascending = preferred: [0] under [Arrival],
+    [w flow] under [Low_rate w], [-. w flow] under [High_rate w]. The
+    one encoding every tie-aware queue orders by. *)
+
 val create : ?tie:tie -> ?capacity:int -> unit -> t
 (** [capacity] pre-sizes the flow-head heap. *)
 

@@ -17,12 +17,6 @@ type t = {
   mutable last_now : float;
 }
 
-let tie_value tie flow =
-  match (tie : Tag_queue.tie) with
-  | Arrival -> 0.0
-  | Low_rate w -> w flow
-  | High_rate w -> -.w flow
-
 let create ~capacity ?(tie = Tag_queue.Arrival) weights =
   let pending = Flow_heap.create () in
   let eligible = Fheap.create () in
@@ -40,7 +34,9 @@ let enqueue t ~now pkt =
   t.last_now <- Float.max t.last_now now;
   let flow = pkt.Packet.flow in
   let stag, ftag = Gps.on_arrival t.gps ~now pkt in
-  Flow_heap.push t.pending ~flow ~key:stag ~aux:ftag ~tie:(tie_value t.tie flow) pkt;
+  Flow_heap.push t.pending ~flow ~key:stag ~aux:ftag
+    ~tie:(Tag_queue.tie_value t.tie flow)
+    pkt;
   Flow_table.set t.counts flow (Flow_table.find t.counts flow + 1)
 
 (* Move packets the fluid system has started (S <= v) to the eligible
@@ -53,7 +49,7 @@ let promote t ~now =
     | Some e when e.Flow_heap.key <= v +. 1e-12 ->
       let e = Option.get (Flow_heap.pop t.pending) in
       Fheap.add t.eligible ~key:e.Flow_heap.aux
-        ~tie:(tie_value t.tie e.Flow_heap.flow)
+        ~tie:(Tag_queue.tie_value t.tie e.Flow_heap.flow)
         ~uid:e.Flow_heap.uid e.Flow_heap.value;
       go ()
     | Some _ | None -> ()

@@ -9,7 +9,7 @@ let check_bool = Alcotest.(check bool)
 
 let valid_doc =
   {|{
-  "schema": "sfq-bench-sched/7",
+  "schema": "sfq-bench-sched/8",
   "quick": true,
   "unit": "ns per enqueue+dequeue",
   "meta": {"git_sha": "deadbeef", "timestamp_utc": "2026-08-06T00:00:00Z", "hostname": "box", "domains": 2},
@@ -28,11 +28,6 @@ let valid_doc =
     {"discipline": "virtual-clock", "flows": 512, "ns_per_packet": 180.0, "ns_p50": 180.0, "ns_p99": 190.0, "allocations_per_packet": 12.0},
     {"discipline": "vc-fast", "flows": 512, "ns_per_packet": 90.0, "ns_p50": 90.0, "ns_p99": 100.0, "allocations_per_packet": 0.000},
     {"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}
-  ],
-  "pifo": [
-    {"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-    {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-    {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}
   ],
   "tracing_overhead": [
     {"mode": "untraced", "flows": 512, "depth": 64, "ns_per_packet": 300.0, "ns_p50": 300.0, "ns_p99": 310.0, "overhead_pct": null},
@@ -88,16 +83,6 @@ let fastpath_frag =
      {"discipline": "vc-fast", "flows": 512, "ns_per_packet": 90.0, "ns_p50": 90.0, "ns_p99": 100.0, "allocations_per_packet": 0.000},
      {"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}]|}
 
-(* A minimal pifo series that satisfies the rank-program gates:
-   pifo-sfq allocation-free, all three disciplines present. *)
-let pifo_frag =
-  {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-     {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-     {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}]|}
-
-(* A minimal netsim series that satisfies the E27 gates: all three
-   oracle-bearing disciplines present, peak RSS under its own bound
-   (null allowed — the explicit "/proc unavailable" marker). *)
 let netsim_frag =
   {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": 110000, "rss_bound_kb": 1048576},
      {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": null, "rss_bound_kb": 1048576},
@@ -112,13 +97,13 @@ let replay_frag =
      {"tier": "control", "cells": 4, "ok": 1},
      {"tier": "kills", "cells": 5, "ok": 5}]|}
 
-let mk ?(schema = "sfq-bench-sched/7") ?(meta = meta_frag) ?(flow = flow_frag)
-    ?(depth = depth_frag) ?(fastpath = fastpath_frag) ?(pifo = pifo_frag)
+let mk ?(schema = "sfq-bench-sched/8") ?(meta = meta_frag) ?(flow = flow_frag)
+    ?(depth = depth_frag) ?(fastpath = fastpath_frag)
     ?(overhead = overhead_frag) ?(parallel = parallel_frag) ?(netsim = netsim_frag)
     ?(replay = replay_frag) () =
   Printf.sprintf
-    {|{"schema": %S, "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s, "replay": %s}|}
-    schema meta flow depth fastpath pifo overhead parallel netsim replay
+    {|{"schema": %S, "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s, "replay": %s}|}
+    schema meta flow depth fastpath overhead parallel netsim replay
 
 let expect_error name needle contents =
   match Bench_json.validate contents with
@@ -198,14 +183,15 @@ let test_rejects_missing_fields () =
   expect_error "stale schema/3" "unexpected schema" (mk ~schema:"sfq-bench-sched/3" ());
   expect_error "stale schema/4" "unexpected schema" (mk ~schema:"sfq-bench-sched/4" ());
   expect_error "stale schema/5" "unexpected schema" (mk ~schema:"sfq-bench-sched/5" ());
-  expect_error "stale schema/6" "stale schema" (mk ~schema:"sfq-bench-sched/6" ());
+  expect_error "stale schema/6" "unexpected schema" (mk ~schema:"sfq-bench-sched/6" ());
+  expect_error "stale schema/7" "stale schema" (mk ~schema:"sfq-bench-sched/7" ());
   expect_error "meta without domains" "missing field \"domains\""
     (mk
        ~meta:{|{"git_sha": "deadbeef", "timestamp_utc": "2026-08-06T00:00:00Z", "hostname": "box"}|}
        ());
   expect_error "no meta" "missing field \"meta\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
+       {|{"schema": "sfq-bench-sched/8", "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
        flow_frag depth_frag overhead_frag);
   expect_error "empty git_sha" "git_sha"
     (mk
@@ -213,11 +199,11 @@ let test_rejects_missing_fields () =
        ());
   expect_error "no depth_scaling" "missing field \"depth_scaling\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "tracing_overhead": %s}|}
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "tracing_overhead": %s}|}
        meta_frag flow_frag overhead_frag);
   expect_error "no fastpath" "missing field \"fastpath\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
        meta_frag flow_frag depth_frag overhead_frag);
   expect_error "row without flows" "missing field \"flows\""
     (mk ~flow:{|[{"discipline": "sfq", "ns_per_packet": 1.0, "ns_p50": 1.0, "ns_p99": 1.2}]|} ());
@@ -268,8 +254,8 @@ let test_rejects_bad_overhead () =
 let test_rejects_bad_parallel () =
   expect_error "missing parallel" "missing field \"parallel\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag pifo_frag overhead_frag);
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "tracing_overhead": %s}|}
+       meta_frag flow_frag depth_frag fastpath_frag overhead_frag);
   expect_error "empty parallel" "parallel is empty" (mk ~parallel:"[]" ());
   (* the determinism witness: a file recording a parallel sweep that
      diverged from the serial reference is itself invalid *)
@@ -337,6 +323,15 @@ let test_rejects_bad_fastpath () =
                {|{"discipline": "sfq-fast", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 2.001}|})
             "sfq-fast")
        ());
+  (* the bank store is held to the same contract *)
+  expect_error "allocating sp-pifo" "sp-pifo allocates"
+    (mk
+       ~fastpath:
+         (fastpath_with
+            (Some
+               {|{"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 1.0, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}|})
+            "sp-pifo")
+       ());
   (* the fast path must actually be fast at the largest flow count *)
   expect_error "slow sfq-fast" "does not beat sfq"
     (mk
@@ -366,32 +361,11 @@ let test_rejects_bad_fastpath () =
             "scfq-fast")
        ())
 
-let test_rejects_bad_pifo () =
-  expect_error "missing pifo series" "missing field \"pifo\""
-    (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "tracing_overhead": %s, "parallel": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag overhead_frag parallel_frag);
-  expect_error "empty pifo" "pifo is empty" (mk ~pifo:"[]" ());
-  (* rank programs may cost time, never an allocation *)
-  expect_error "allocating pifo-sfq" "zero-allocation contract"
-    (mk
-       ~pifo:
-         {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 2.0},
-            {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}]|}
-       ());
-  expect_error "missing pifo-vc row" "missing discipline \"pifo-vc\""
-    (mk
-       ~pifo:
-         {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000}]|}
-       ())
-
 let test_rejects_bad_netsim () =
   expect_error "missing netsim series" "missing field \"netsim\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag pifo_frag overhead_frag
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "tracing_overhead": %s, "parallel": %s}|}
+       meta_frag flow_frag depth_frag fastpath_frag overhead_frag
        parallel_frag);
   expect_error "empty netsim" "netsim is empty" (mk ~netsim:"[]" ());
   (* a vanished discipline row would hide a scale regression *)
@@ -427,8 +401,8 @@ let test_rejects_bad_netsim () =
 let test_rejects_bad_replay () =
   expect_error "missing replay series" "missing field \"replay\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag pifo_frag overhead_frag
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s}|}
+       meta_frag flow_frag depth_frag fastpath_frag overhead_frag
        parallel_frag netsim_frag);
   expect_error "empty replay" "replay is empty" (mk ~replay:"[]" ());
   (* a tier whose rows stop being all-ok is a replay regression *)
@@ -520,7 +494,6 @@ let () =
           Alcotest.test_case "missing fields" `Quick test_rejects_missing_fields;
           Alcotest.test_case "bad tracing overhead" `Quick test_rejects_bad_overhead;
           Alcotest.test_case "bad fastpath series" `Quick test_rejects_bad_fastpath;
-          Alcotest.test_case "bad pifo series" `Quick test_rejects_bad_pifo;
           Alcotest.test_case "bad parallel series" `Quick test_rejects_bad_parallel;
           Alcotest.test_case "bad netsim series" `Quick test_rejects_bad_netsim;
           Alcotest.test_case "bad replay series" `Quick test_rejects_bad_replay;

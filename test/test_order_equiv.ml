@@ -75,43 +75,194 @@ let test_fheap_clear () =
   check_bool "usable after clear" true (Fheap.pop_elt h = Some 42)
 
 (* ------------------------------------------------------------------ *)
-(* Flow_heap vs a single global heap                                    *)
+(* Flow stores vs a single global heap
+
+   One random op stream — pushes with per-flow non-decreasing keys,
+   pops, oldest/newest evictions and whole-flow flushes — drives a
+   store and a reference Ds_heap of (key, tie, uid, flow) entries,
+   uids in push order. Exact stores (Flow_heap, Iflow_heap) must pop
+   the reference minimum; SP-PIFO's bank store pops in arrival order
+   at one bank and, at more banks, some queued entry with its own key.
+   Every store must evict a flow's oldest/newest entry by arrival,
+   flush oldest first, and keep size and per-flow backlog exact.       *)
+
+type entry = { key : int; tie : int; uid : int; flow : int }
+
+type store = {
+  push : entry -> unit;
+  pop : unit -> (int * int * int) option;  (* key, uid, flow *)
+  evict : newest:bool -> int -> (int * int) option;  (* uid, flow *)
+  flush : int -> (int * int) list;
+  size : unit -> int;
+  backlog : int -> int;
+}
+
+let nflows = 12
+
+(* [order]: the reference's pop order, or [None] when only membership
+   can be checked. *)
+let check_store_differential ~ties ?order (st : store) =
+  let rng = Rng.create 7 in
+  let cmp = Option.value order ~default:(fun a b -> compare a.uid b.uid) in
+  let reference = Ds_heap.create ~cmp () in
+  let last_key = Array.make nflows 0 in
+  let uid = ref 0 in
+  let remove_where pred =
+    let gone, keep = List.partition pred (Ds_heap.to_sorted_list reference) in
+    Ds_heap.clear reference;
+    List.iter (Ds_heap.add reference) keep;
+    gone
+  in
+  let of_flow f =
+    List.sort (fun a b -> compare a.uid b.uid) (remove_where (fun e -> e.flow = f))
+  in
+  let uid_flow e = (e.uid, e.flow) in
+  for _ = 1 to 4000 do
+    let r = Rng.float rng 1.0 and f = Rng.int rng nflows in
+    if r < 0.5 then begin
+      last_key.(f) <- last_key.(f) + Rng.int rng 3;
+      let tie = if ties then f mod 3 else 0 in
+      let e = { key = last_key.(f); tie; uid = !uid; flow = f } in
+      st.push e;
+      Ds_heap.add reference e;
+      incr uid
+    end
+    else if r < 0.86 then begin
+      match (st.pop (), order) with
+      | None, _ ->
+        check_bool "store empty iff reference empty" true (Ds_heap.is_empty reference)
+      | Some (key, u, flow), Some _ ->
+        let e = Ds_heap.pop_min_exn reference in
+        check_int "popped uid" e.uid u;
+        check_int "popped flow" e.flow flow;
+        check_int "popped key" e.key key
+      | Some (key, u, flow), None -> (
+        match remove_where (fun e -> e.uid = u) with
+        | [ e ] ->
+          check_int "popped flow" e.flow flow;
+          check_int "popped key" e.key key
+        | _ -> Alcotest.failf "popped uid %d is not queued" u)
+    end
+    else if r < 0.95 then begin
+      let newest = r >= 0.905 in
+      let mine = of_flow f in
+      let want =
+        match mine with
+        | [] -> None
+        | _ -> Some (List.nth mine (if newest then List.length mine - 1 else 0))
+      in
+      List.iter
+        (fun e ->
+          match want with
+          | Some w when w.uid = e.uid -> ()
+          | _ -> Ds_heap.add reference e)
+        mine;
+      check_bool "evicted by arrival" true (st.evict ~newest f = Option.map uid_flow want)
+    end
+    else
+      check_bool "flushed oldest first" true (st.flush f = List.map uid_flow (of_flow f));
+    check_int "sizes agree" (Ds_heap.length reference) (st.size ());
+    let f = Rng.int rng nflows in
+    check_int "backlog agrees"
+      (List.length (List.filter (fun e -> e.flow = f) (Ds_heap.to_sorted_list reference)))
+      (st.backlog f)
+  done
+
+let exact_order a b = compare (a.key, a.tie, a.uid) (b.key, b.tie, b.uid)
 
 let test_flow_heap_matches_global_heap () =
-  let rng = Rng.create 7 in
-  let nflows = 12 in
+  (* float keys in half steps, so the int reference is exact *)
   let fh = Flow_heap.create () in
-  let reference = Ds_heap.create ~cmp:compare () in
-  (* (key, tie, uid) triples; Ds_heap with polymorphic compare is the
-     oracle for the global order. Keys per flow are non-decreasing. *)
-  let last_key = Array.make nflows 0.0 in
-  let ties = Array.init nflows (fun f -> float_of_int (f mod 3)) in
-  let uid = ref 0 in
-  let queued = ref 0 in
-  for _ = 1 to 4000 do
-    if Rng.float rng 1.0 < 0.55 then begin
-      let flow = Rng.int rng nflows in
-      last_key.(flow) <- last_key.(flow) +. (float_of_int (Rng.int rng 3) *. 0.5);
-      let key = last_key.(flow) in
-      Flow_heap.push fh ~flow ~key ~aux:(key +. 1.0) ~tie:ties.(flow) (flow, !uid);
-      Ds_heap.add reference (key, ties.(flow), !uid, flow);
-      incr uid;
-      incr queued
-    end
-    else begin
-      match (Flow_heap.pop fh, Ds_heap.pop_min reference) with
-      | None, None -> ()
-      | Some p, Some (key, _, u, flow) ->
-        decr queued;
-        check_int "flow" flow p.Flow_heap.flow;
-        check_int "uid" u p.Flow_heap.uid;
-        Alcotest.(check (float 0.0)) "key" key p.Flow_heap.key;
-        Alcotest.(check (float 0.0)) "aux" (key +. 1.0) p.Flow_heap.aux;
-        check_bool "payload" true (p.Flow_heap.value = (flow, u))
-      | _ -> Alcotest.fail "divergence: one heap empty"
-    end;
-    check_int "sizes agree" (Ds_heap.length reference) (Flow_heap.size fh)
-  done
+  let out (p : (int * int) Flow_heap.popped) =
+    let key = int_of_float (p.Flow_heap.key *. 2.0) in
+    Alcotest.(check (float 0.0)) "aux" (p.Flow_heap.key +. 1.0) p.Flow_heap.aux;
+    check_bool "payload" true (p.Flow_heap.value = (p.Flow_heap.flow, p.Flow_heap.uid));
+    (key, p.Flow_heap.uid, p.Flow_heap.flow)
+  in
+  let uf p = (p.Flow_heap.uid, p.Flow_heap.flow) in
+  check_store_differential ~ties:true ~order:exact_order
+    {
+      push =
+        (fun e ->
+          let key = float_of_int e.key *. 0.5 in
+          Flow_heap.push fh ~flow:e.flow ~key ~aux:(key +. 1.0) ~tie:(float_of_int e.tie)
+            (e.flow, e.uid));
+      pop = (fun () -> Option.map out (Flow_heap.pop fh));
+      evict =
+        (fun ~newest f ->
+          Option.map uf
+            ((if newest then Flow_heap.evict_back else Flow_heap.evict_front) fh f));
+      flush = (fun f -> List.map uf (Flow_heap.flush_flow fh f));
+      size = (fun () -> Flow_heap.size fh);
+      backlog = Flow_heap.backlog fh;
+    }
+
+let test_iflow_heap_matches_global_heap () =
+  let ih = Iflow_heap.create () in
+  let uf p = (p.Iflow_heap.uid, p.Iflow_heap.flow) in
+  check_store_differential ~ties:true ~order:exact_order
+    {
+      push =
+        (fun e ->
+          Iflow_heap.push ih ~flow:e.flow ~key:e.key ~aux:(e.key + 1) ~tie:e.tie
+            (e.flow, e.uid));
+      pop =
+        (fun () ->
+          if Iflow_heap.is_empty ih then None
+          else begin
+            (* the non-allocating pop and its scratch slots *)
+            let v = Iflow_heap.pop_exn ih in
+            let key = Iflow_heap.last_key ih in
+            check_int "aux" (key + 1) (Iflow_heap.last_aux ih);
+            check_bool "payload" true
+              (v = (Iflow_heap.last_flow ih, Iflow_heap.last_uid ih));
+            Some (key, Iflow_heap.last_uid ih, Iflow_heap.last_flow ih)
+          end);
+      evict =
+        (fun ~newest f ->
+          Option.map uf
+            ((if newest then Iflow_heap.evict_back else Iflow_heap.evict_front) ih f));
+      flush = (fun f -> List.map uf (Iflow_heap.flush_flow ih f));
+      size = (fun () -> Iflow_heap.size ih);
+      backlog = Iflow_heap.backlog ih;
+    }
+
+(* The bank store carries packets; a packet's seq is its entry uid + 1. *)
+let bank_store ~banks =
+  let b = Sfq_pifo.Sp_pifo.create ~banks in
+  let uf (p : Packet.t) = (p.Packet.seq - 1, p.Packet.flow) in
+  {
+    push =
+      (fun e ->
+        Sfq_pifo.Sp_pifo.push b ~key:e.key ~aux:(e.key + 1)
+          (Packet.make ~flow:e.flow ~seq:(e.uid + 1) ~len:100 ~born:0.0 ()));
+    pop =
+      (fun () ->
+        if Sfq_pifo.Sp_pifo.is_empty b then None
+        else begin
+          let p = Sfq_pifo.Sp_pifo.pop_exn b in
+          let key = Sfq_pifo.Sp_pifo.last_key b in
+          check_int "aux" (key + 1) (Sfq_pifo.Sp_pifo.last_aux b);
+          let u, flow = uf p in
+          Some (key, u, flow)
+        end);
+    evict =
+      (fun ~newest f ->
+        Option.map uf
+          ((if newest then Sfq_pifo.Sp_pifo.evict_back else Sfq_pifo.Sp_pifo.evict_front)
+             b f));
+    flush = (fun f -> List.map uf (Sfq_pifo.Sp_pifo.flush_flow b f));
+    size = (fun () -> Sfq_pifo.Sp_pifo.size b);
+    backlog = Sfq_pifo.Sp_pifo.backlog b;
+  }
+
+let test_bank_store_one_bank_is_fifo () =
+  check_store_differential ~ties:false
+    ~order:(fun a b -> compare a.uid b.uid)
+    (bank_store ~banks:1)
+
+let test_bank_store_bookkeeping () =
+  check_store_differential ~ties:false (bank_store ~banks:8)
 
 let test_flow_heap_accounting () =
   let fh = Flow_heap.create () in
@@ -425,6 +576,17 @@ let () =
         [
           Alcotest.test_case "matches global heap" `Quick test_flow_heap_matches_global_heap;
           Alcotest.test_case "accounting" `Quick test_flow_heap_accounting;
+        ] );
+      ( "iflow_heap",
+        [
+          Alcotest.test_case "matches global heap" `Quick
+            test_iflow_heap_matches_global_heap;
+        ] );
+      ( "bank_store",
+        [
+          Alcotest.test_case "one bank is FIFO" `Quick test_bank_store_one_bank_is_fifo;
+          Alcotest.test_case "bookkeeping at eight banks" `Quick
+            test_bank_store_bookkeeping;
         ] );
       ( "flow_table",
         [

@@ -287,7 +287,8 @@ let test_hsfq_tree_differential () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Oracle digests: every port ≡ its original at 1/2/4/8 domains.
+(* Oracle digests: every port ≡ its original at 1/2/4/8 domains, and
+   sp-pifo ≡ its own serial run.
    outcome_digest covers departures, finish time and violations — the
    cross-implementation invariant that survives fixed-point
    quantization on the non-dyadic pool traces (both sides are
@@ -327,7 +328,7 @@ let assert_port_digests_match ~what float_cells pifo_cells =
     [ 1; 2; 4; 8 ]
 
 let test_port_digests_across_domains () =
-  let pool = take 18 O.Suite.theorem_pool in
+  let pool = take 24 O.Suite.theorem_pool in
   let pifo_cells = O.Suite.pifo_cells ~pool () in
   let weights_of (w : O.Workload.t) = Weights.of_list ~default:1.0 w.O.Workload.weights in
   let specs (w : O.Workload.t) = edd_specs w.O.Workload.weights in
@@ -350,7 +351,11 @@ let test_port_digests_across_domains () =
         structural_cell ~what:"wf2q"
           (fun w -> Wf2q.sched (Wf2q.create ~capacity:w.O.Workload.capacity (weights_of w)))
           pool );
-    ]
+    ];
+  (* sp-pifo has no float twin: its serial digests are the reference *)
+  let sp = by_prefix "sp-pifo#" pifo_cells in
+  check_int "sp-pifo cells" (List.length pool) (List.length sp);
+  assert_port_digests_match ~what:"sp-pifo" sp sp
 
 (* ------------------------------------------------------------------ *)
 (* Runtime core model: push/pop/evict/close against a naive sorted
@@ -509,7 +514,8 @@ let test_fifo_stable_ties () =
 
 (* ------------------------------------------------------------------ *)
 (* Allocation: the unshaped runtime hot path, which serves sfq-fast,
-   scfq-fast and vc-fast, allocates nothing in steady state.            *)
+   scfq-fast and vc-fast over the exact store and sp-pifo over the
+   banks, allocates nothing in steady state.                            *)
 
 let alloc_pkts n = Array.init n (fun f -> Packet.make ~flow:f ~seq:1 ~len:1000 ~born:0.0 ())
 
@@ -529,8 +535,8 @@ let alloc_delta step =
    dequeue pays its documented [Some] box, so dequeues stay native. *)
 let test_zero_alloc_steady_state () =
   let n = 32 in
-  let stepper ?(view = false) prog () =
-    let t = Pifo.create ~capacity:64 (prog ()) in
+  let stepper ?(view = false) ?banks prog () =
+    let t = Pifo.create ?banks (prog ()) in
     let s = Pifo.sched t in
     let pkts = alloc_pkts n in
     Array.iter (Pifo.enqueue t ~now:0.0) pkts;
@@ -551,7 +557,21 @@ let test_zero_alloc_steady_state () =
       ("pifo-scfq", stepper (fun () -> Programs.scfq (Weights.uniform 100.0)));
       ("pifo-vc", stepper (fun () -> Programs.virtual_clock (Weights.uniform 100.0)));
       ("sfq-fast view", stepper ~view:true (fun () -> Programs.sfq (Weights.uniform 100.0)));
-    ]
+      ("sp-pifo", stepper ~banks:8 (fun () -> Programs.sfq (Weights.uniform 100.0)));
+    ];
+  (* Contrast: the float scheduler allocates on every operation, which
+     is the whole point of the fixed-point layer. *)
+  let float_step =
+    let t = Sfq.create (Weights.uniform 100.0) in
+    let pkts = alloc_pkts n in
+    Array.iter (Sfq.enqueue t ~now:0.0) pkts;
+    let i = ref 0 in
+    fun () ->
+      Sfq.enqueue t ~now:0.0 pkts.(!i);
+      i := (!i + 1) land (n - 1);
+      ignore (Sfq.dequeue t ~now:0.0)
+  in
+  check_bool "float sfq allocates" true (alloc_delta float_step > 1000.0)
 
 (* ------------------------------------------------------------------ *)
 (* Rank clamping: user programs cannot wrap the order.                  *)
