@@ -69,19 +69,19 @@ let run ?(seed = 29) ?(k = 3) () =
     Weights.of_fun (fun f ->
         if f = flow then rho else (capacity -. rho) /. float_of_int cross_per_hop)
   in
+  (* A line of k links; cross traffic is unrouted and exits at its own
+     hop, only the tagged flow rides the whole line. *)
+  let net = Net.create sim in
+  let nodes = Array.init (k + 1) (fun h -> Net.add_node net (Printf.sprintf "n%d" h)) in
   let servers =
     List.init k (fun h ->
-        Server.create sim
-          ~name:(Printf.sprintf "ebf%d" h)
+        Net.link net ~src:nodes.(h) ~dst:nodes.(h + 1)
           ~rate:(Rate_process.ebf ~c:capacity ~scale:(0.2 *. capacity) ~seg:0.01 ~rng:(Rng.split rng))
-          ~sched:(Disc.make Disc.Sfq weights) ())
+          ~sched:(Disc.make Disc.Sfq weights)
+          ~prop_delay:(if h < k - 1 then prop_delay else 0.0)
+          ())
   in
-  let tandem =
-    Tandem.chain sim ~servers
-      ~prop_delays:(List.init (Stdlib.max 0 (k - 1)) (fun _ -> prop_delay))
-      ~forward:(fun p -> p.Packet.flow = flow)
-      ()
-  in
+  Net.route net ~flow (Array.to_list nodes);
   List.iter
     (fun server ->
       for i = 1 to cross_per_hop do
@@ -118,14 +118,12 @@ let run ?(seed = 29) ?(k = 3) () =
     (float_of_int k *. beta) +. (float_of_int (k - 1) *. prop_delay)
   in
   let e2e_slacks = Vec.create () in
-  Tandem.on_exit tandem (fun p ~departed ->
-      if p.Packet.flow = flow then begin
-        match Hashtbl.find_opt eat1 p.Packet.seq with
-        | None -> ()
-        | Some e1 -> Vec.push e2e_slacks (departed -. e1 -. base_from_eat1)
-      end);
+  Net.on_delivered net (fun p ~at ->
+      match Hashtbl.find_opt eat1 p.Packet.seq with
+      | None -> ()
+      | Some e1 -> Vec.push e2e_slacks (at -. e1 -. base_from_eat1));
   ignore
-    (Source.leaky_bucket sim ~target:(Tandem.inject tandem) ~flow ~len:pkt_len ~sigma
+    (Source.leaky_bucket sim ~target:(Net.inject net) ~flow ~len:pkt_len ~sigma
        ~rho ~flush_every:0.05 ~start:0.0 ~stop:duration);
   Sim.run sim ~until:(duration +. 2.0);
   (* Fit per-hop envelopes and compose per Corollary 1. *)

@@ -22,21 +22,20 @@ let run_k ~k ~seed =
     Weights.of_fun (fun f ->
         if f = flow then flow_rate else (capacity -. flow_rate) /. float_of_int cross_per_hop)
   in
+  (* A line of k links with propagation between hops. Only the tagged
+     flow is routed; cross traffic is unrouted, so it exits at its own
+     hop. *)
+  let net = Net.create sim in
+  let nodes = Array.init (k + 1) (fun h -> Net.add_node net (Printf.sprintf "n%d" h)) in
   let servers =
     List.init k (fun h ->
-        Server.create sim
-          ~name:(Printf.sprintf "hop%d" h)
+        Net.link net ~src:nodes.(h) ~dst:nodes.(h + 1)
           ~rate:(Rate_process.constant capacity)
-          ~sched:(Disc.make Disc.Sfq weights) ())
+          ~sched:(Disc.make Disc.Sfq weights)
+          ~prop_delay:(if h < k - 1 then prop_delay else 0.0)
+          ())
   in
-  let delays = List.init (Stdlib.max 0 (k - 1)) (fun _ -> prop_delay) in
-  (* Cross traffic exits at its own hop; only the tagged flow rides the
-     whole chain. *)
-  let tandem =
-    Tandem.chain sim ~servers ~prop_delays:delays
-      ~forward:(fun p -> p.Packet.flow = flow)
-      ()
-  in
+  Net.route net ~flow (Array.to_list nodes);
   (* Backlogged cross traffic at every hop. *)
   List.iteri
     (fun h server ->
@@ -48,10 +47,9 @@ let run_k ~k ~seed =
     servers;
   ignore seed;
   let worst = ref 0.0 in
-  Tandem.on_exit tandem (fun p ~departed ->
-      if p.Packet.flow = flow then worst := Float.max !worst (departed -. p.Packet.born));
+  Net.on_delivered net (fun p ~at -> worst := Float.max !worst (at -. p.Packet.born));
   ignore
-    (Source.leaky_bucket sim ~target:(Tandem.inject tandem) ~flow ~len:pkt_len ~sigma
+    (Source.leaky_bucket sim ~target:(Net.inject net) ~flow ~len:pkt_len ~sigma
        ~rho:flow_rate ~flush_every:0.05 ~start:0.0 ~stop:duration);
   Sim.run sim ~until:(duration +. 2.0);
   !worst

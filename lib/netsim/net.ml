@@ -1,108 +1,105 @@
+open Sfq_util
 open Sfq_base
 
 type node = { name : string; index : int }
 
-type link_state = { server : Server.t; prop_delay : float }
+type link = { server : Server.t; prop_delay : float }
 
 type t = {
   sim : Sim.t;
   nodes : (string, node) Hashtbl.t;
-  links : (int * int, link_state) Hashtbl.t;
-  link_ends : (int * int, node * node) Hashtbl.t;
-  routes : (Packet.flow, node array) Hashtbl.t;
+  (* Links in creation order; [link_ids] maps (src, dst) node indices to
+     a position here and is read only at setup. *)
+  links : link Vec.t;
+  link_ids : (int * int, int) Hashtbl.t;
+  routes : (Packet.flow, link array) Hashtbl.t;
   mutable delivered_handlers : (Packet.t -> at:float -> unit) list;
   mutable delivered : int;
   mutable injected : int;
-  mutable next_index : int;
 }
 
 let create sim =
   {
     sim;
     nodes = Hashtbl.create 16;
-    links = Hashtbl.create 16;
-    link_ends = Hashtbl.create 16;
+    links = Vec.create ();
+    link_ids = Hashtbl.create 16;
     routes = Hashtbl.create 16;
     delivered_handlers = [];
     delivered = 0;
     injected = 0;
-    next_index = 0;
   }
 
 let add_node t name =
   if Hashtbl.mem t.nodes name then
     invalid_arg (Printf.sprintf "Net.add_node: duplicate node %S" name);
-  let node = { name; index = t.next_index } in
-  t.next_index <- t.next_index + 1;
+  let node = { name; index = Hashtbl.length t.nodes } in
   Hashtbl.replace t.nodes name node;
   node
 
-let node_name node = node.name
-
-let find_link t ~src ~dst = Hashtbl.find_opt t.links (src.index, dst.index)
-
-(* Position of [node] on the flow's route, if any. *)
-let hop_index route node =
-  let rec go i = if i >= Array.length route then None else if route.(i).index = node.index then Some i else go (i + 1) in
-  go 0
+(* @raise Not_found when src->dst is not linked. *)
+let find_link t ~src ~dst = Vec.get t.links (Hashtbl.find t.link_ids (src.index, dst.index))
 
 let deliver t p =
   t.delivered <- t.delivered + 1;
   let at = Sim.now t.sim in
-  List.iter (fun h -> h p ~at) (List.rev t.delivered_handlers)
+  List.iter (fun h -> h p ~at) t.delivered_handlers
 
-(* Inject [p] into the link starting at route position [i]. *)
-let rec send_from t route i p =
-  if i >= Array.length route - 1 then deliver t p
-  else begin
-    let src = route.(i) and dst = route.(i + 1) in
-    match find_link t ~src ~dst with
-    | None -> assert false (* validated at [route] time *)
-    | Some ls -> Server.inject ls.server p
-  end
+(* [l] finished [p]: find [l] on [p]'s route from position [i], then,
+   after [l]'s propagation delay, hand [p] to the next link, or deliver
+   it when [l] is the last. *)
+let rec forward_from t l p route i =
+  if i < Array.length route then
+    if route.(i) != l then forward_from t l p route (i + 1)
+    else if i + 1 < Array.length route then begin
+      let next = route.(i + 1).server in
+      Sim.schedule_after t.sim ~delay:l.prop_delay (fun () -> Server.inject next p)
+    end
+    else Sim.schedule_after t.sim ~delay:l.prop_delay (fun () -> deliver t p)
 
-and forward t ls ~src ~dst p =
-  (* Called when p finishes service on (src,dst): continue after the
-     propagation delay. *)
-  ignore src;
+(* Unrouted traffic, and a routed packet leaving a link off its route,
+   ends at [l]. *)
+let forward t l p =
   match Hashtbl.find_opt t.routes p.Packet.flow with
-  | None -> () (* local traffic injected directly at the server *)
-  | Some route -> begin
-    match hop_index route dst with
-    | None -> ()
-    | Some i ->
-      Sim.schedule_after t.sim ~delay:ls.prop_delay (fun () -> send_from t route i p)
-  end
+  | None -> ()
+  | Some route -> forward_from t l p route 0
 
 let link t ~src ~dst ~rate ~sched ?(prop_delay = 0.0) ?flow_buffer_limit ?buffer () =
   if prop_delay < 0.0 then invalid_arg "Net.link: negative propagation delay";
-  if Hashtbl.mem t.links (src.index, dst.index) then
+  if Hashtbl.mem t.link_ids (src.index, dst.index) then
     invalid_arg (Printf.sprintf "Net.link: %s->%s already exists" src.name dst.name);
   let server =
     Server.create t.sim
       ~name:(Printf.sprintf "%s->%s" src.name dst.name)
       ~rate ~sched ?flow_buffer_limit ?buffer ()
   in
-  let ls = { server; prop_delay } in
-  Hashtbl.replace t.links (src.index, dst.index) ls;
-  Hashtbl.replace t.link_ends (src.index, dst.index) (src, dst);
-  Server.on_depart server (fun p ~start:_ ~departed:_ -> forward t ls ~src ~dst p);
+  let l = { server; prop_delay } in
+  Hashtbl.replace t.link_ids (src.index, dst.index) (Vec.length t.links);
+  Vec.push t.links l;
+  Server.on_depart server (fun p ~start:_ ~departed:_ -> forward t l p);
   server
 
-let server t ~src ~dst =
-  match find_link t ~src ~dst with Some ls -> ls.server | None -> raise Not_found
+let server t ~src ~dst = (find_link t ~src ~dst).server
+
+let route_link t ~src ~dst =
+  try find_link t ~src ~dst
+  with Not_found ->
+    invalid_arg (Printf.sprintf "Net.route: missing link %s->%s" src.name dst.name)
+
+(* Fill [links] from position [i] with the links along [path]. *)
+let rec resolve t links i = function
+  | src :: (dst :: _ as rest) ->
+    links.(i) <- route_link t ~src ~dst;
+    resolve t links (i + 1) rest
+  | [] | [ _ ] -> ()
 
 let route t ~flow path =
-  (match path with
+  match path with
   | [] | [ _ ] -> invalid_arg "Net.route: a route needs at least two nodes"
-  | _ -> ());
-  let arr = Array.of_list path in
-  for i = 0 to Array.length arr - 2 do
-    if find_link t ~src:arr.(i) ~dst:arr.(i + 1) = None then
-      invalid_arg
-        (Printf.sprintf "Net.route: missing link %s->%s" arr.(i).name arr.(i + 1).name)
-  done;
-  Hashtbl.replace t.routes flow arr
+  | src :: (dst :: _ as rest) ->
+    let links = Array.make (List.length rest) (route_link t ~src ~dst) in
+    resolve t links 1 rest;
+    Hashtbl.replace t.routes flow links
 
 let unroute t ~flow = Hashtbl.remove t.routes flow
 
@@ -111,18 +108,8 @@ let inject t p =
   | None -> invalid_arg (Printf.sprintf "Net.inject: no route for flow %d" p.Packet.flow)
   | Some route ->
     t.injected <- t.injected + 1;
-    send_from t route 0 p
+    Server.inject route.(0).server p
 
-let on_delivered t h = t.delivered_handlers <- h :: t.delivered_handlers
+let on_delivered t h = t.delivered_handlers <- t.delivered_handlers @ [ h ]
 let delivered t = t.delivered
 let injected t = t.injected
-
-let iter_links t ~f =
-  (* Hashtbl order depends on hashing internals; sort by the (src, dst)
-     index pair so callers folding over links (digests, counter sums)
-     see a deterministic sequence. *)
-  Hashtbl.fold (fun key ls acc -> (key, ls) :: acc) t.links []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (key, ls) ->
-         let src, dst = Hashtbl.find t.link_ends key in
-         f ~src ~dst ls.server)

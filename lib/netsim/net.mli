@@ -1,16 +1,18 @@
-(** Multi-node networks: nodes, directed links, static per-flow routes.
-
-    {!Tandem} wires a single chain; this module builds arbitrary
-    topologies — the "network of servers" setting of §2.4, where each
-    hop is an output link with its own scheduler and rate process (the
-    paper's Fig. 1(a) topology is three hosts, a switch and a sink).
+(** Multi-node networks: nodes, directed links, static per-flow routes —
+    the "network of servers" setting of §2.4, where each hop is an
+    output link with its own scheduler and rate process. Chains (the
+    K-server tandem of Corollary 1), the paper's Fig. 1(a) topology
+    (three hosts, a switch and a sink) and the {!Topo} shapes are all
+    built here.
 
     Each directed link owns a {!Server} (the output queue of its source
     node) plus a propagation delay. Forwarding is per-flow source
-    routing: a flow's route is the list of nodes it visits; when a
-    packet finishes service on link (u,v) it is injected, after the
-    propagation delay, into link (v,w) for the next node w on its
-    route, until the route ends. *)
+    routing: {!route} resolves the flow's node path once into its array
+    of links; when a packet finishes service on one of them it is
+    injected, after that link's propagation delay, into the next link
+    of its route, or delivered when the route ends. Traffic injected
+    straight into a link's server without a route (hop-local cross
+    traffic) leaves the network at that link. *)
 
 open Sfq_base
 
@@ -20,8 +22,6 @@ type node
 val create : Sim.t -> t
 val add_node : t -> string -> node
 (** @raise Invalid_argument on a duplicate name. *)
-
-val node_name : node -> string
 
 val link :
   t -> src:node -> dst:node -> rate:Rate_process.t -> sched:Sched.t ->
@@ -64,8 +64,3 @@ val injected : t -> int
 (** Total {!inject} calls — the left-hand side of the network-wide
     conservation law
     [injected = delivered + dropped + closed + in-flight]. *)
-
-val iter_links : t -> f:(src:node -> dst:node -> Server.t -> unit) -> unit
-(** Visit every link's server in deterministic (creation-index) order —
-    for attaching monitors or summing per-hop counters without
-    depending on hash-table iteration order. *)

@@ -21,6 +21,13 @@ type t = {
   mutable depart_handlers : (Packet.t -> start:float -> departed:float -> unit) list;
 }
 
+(* Handler lists are kept in firing (registration) order. *)
+let on_inject t h = t.inject_handlers <- t.inject_handlers @ [ h ]
+let on_drop_reason t h = t.drop_handlers <- t.drop_handlers @ [ h ]
+let on_drop t h = on_drop_reason t (fun ~reason:_ p -> h p)
+let on_close t h = t.close_handlers <- t.close_handlers @ [ h ]
+let on_depart t h = t.depart_handlers <- t.depart_handlers @ [ h ]
+
 let wire_metrics t m ~delay_range =
   let open Sfq_obs in
   let lo, hi = delay_range in
@@ -39,7 +46,7 @@ let wire_metrics t m ~delay_range =
     Flow_table.create ~default:(fun _ -> Queue.create ())
   in
   let backlog : int ref Flow_table.t = Flow_table.create ~default:(fun _ -> ref 0) in
-  t.inject_handlers <-
+  on_inject t
     (fun p ->
       let flow = p.Packet.flow in
       Metrics.incr injected;
@@ -47,9 +54,8 @@ let wire_metrics t m ~delay_range =
       Queue.push (Sim.now t.sim) (Flow_table.find arrivals flow);
       let b = Flow_table.find backlog flow in
       incr b;
-      Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) (float_of_int !b))
-    :: t.inject_handlers;
-  t.drop_handlers <-
+      Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) (float_of_int !b));
+  on_drop_reason t
     (fun ~reason p ->
       let flow = p.Packet.flow in
       Metrics.incr dropped;
@@ -64,17 +70,15 @@ let wire_metrics t m ~delay_range =
         let b = Flow_table.find backlog flow in
         if !b > 0 then decr b;
         Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) (float_of_int !b);
-        ignore (Queue.take_opt (Flow_table.find arrivals flow)))
-    :: t.drop_handlers;
-  t.close_handlers <-
+        ignore (Queue.take_opt (Flow_table.find arrivals flow)));
+  on_close t
     (fun ~flow flushed ->
       List.iter (fun _ -> Metrics.incr closed) flushed;
       let b = Flow_table.find backlog flow in
       b := 0;
       Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) 0.0;
-      Queue.clear (Flow_table.find arrivals flow))
-    :: t.close_handlers;
-  t.depart_handlers <-
+      Queue.clear (Flow_table.find arrivals flow));
+  on_depart t
     (fun p ~start:_ ~departed:at ->
       let flow = p.Packet.flow in
       Metrics.incr departed;
@@ -87,7 +91,6 @@ let wire_metrics t m ~delay_range =
       | Some arrived ->
         Metrics.observe m ~flow ~lo ~hi ~bins (pfx ^ "delay") (at -. arrived)
       | None -> ())
-    :: t.depart_handlers
 
 let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
     ?(delay_range = (0.0, 10.0)) () =
@@ -128,7 +131,7 @@ let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
     let on_drop ~now:_ ~reason pkt =
       t.drops <- t.drops + 1;
       if reason = Buffered.Rejected then t.arrival_rejected <- true;
-      List.iter (fun h -> h ~reason pkt) (List.rev t.drop_handlers)
+      List.iter (fun h -> h ~reason pkt) t.drop_handlers
     in
     t.view <- Buffered.sched (Buffered.wrap ~on_drop cfg sched));
   (match metrics with None -> () | Some m -> wire_metrics t m ~delay_range);
@@ -157,11 +160,11 @@ and complete t p ~start =
   t.busy <- false;
   t.departed <- t.departed + 1;
   t.work_done <- t.work_done +. float_of_int p.Packet.len;
-  List.iter (fun h -> h p ~start ~departed) (List.rev t.depart_handlers);
+  List.iter (fun h -> h p ~start ~departed) t.depart_handlers;
   start_service t
 
 let accept t p =
-  List.iter (fun h -> h p) (List.rev t.inject_handlers);
+  List.iter (fun h -> h p) t.inject_handlers;
   start_service t
 
 let inject t p =
@@ -176,17 +179,11 @@ let inject_priority t p =
 let close_flow t flow =
   let flushed = t.view.Sched.close_flow ~now:(Sim.now t.sim) flow in
   t.closed <- t.closed + List.length flushed;
-  List.iter (fun h -> h ~flow flushed) (List.rev t.close_handlers);
+  List.iter (fun h -> h ~flow flushed) t.close_handlers;
   flushed
 
 let kick t = start_service t
 
-let on_inject t h = t.inject_handlers <- h :: t.inject_handlers
-let on_drop t h = t.drop_handlers <- (fun ~reason:_ p -> h p) :: t.drop_handlers
-
-let on_drop_reason t h = t.drop_handlers <- h :: t.drop_handlers
-let on_close t h = t.close_handlers <- h :: t.close_handlers
-let on_depart t h = t.depart_handlers <- h :: t.depart_handlers
 let sched t = t.sched
 let sim t = t.sim
 let name t = t.name

@@ -31,11 +31,10 @@ type hop = { server : Server.t; capacity : float; prop_delay : float }
 type t = {
   spec : spec;
   net : Net.t;
-  sim : Sim.t;
   paths : Net.node list array;
-  hop_lists : hop list array;
-  core : Server.t;
-  servers : Server.t list;
+  (* Every link in creation order; a route is its links' positions here. *)
+  links : hop array;
+  routes : int list array;
 }
 
 let build sim spec ~access_rate ~core_rate ~mk_sched ?(prop_delay = 0.0) ?buffer () =
@@ -43,16 +42,16 @@ let build sim spec ~access_rate ~core_rate ~mk_sched ?(prop_delay = 0.0) ?buffer
   if access_rate <= 0.0 || core_rate <= 0.0 then
     invalid_arg "Topo.build: rates must be positive";
   let net = Net.create sim in
-  let servers = ref [] in
+  let links = Sfq_util.Vec.create () in
   let mk_link ~src ~dst ~rate =
     let server =
       Net.link net ~src ~dst ~rate:(Rate_process.constant rate)
         ~sched:(mk_sched ~rate) ~prop_delay ?buffer ()
     in
-    servers := server :: !servers;
-    { server; capacity = rate; prop_delay }
+    Sfq_util.Vec.push links { server; capacity = rate; prop_delay };
+    Sfq_util.Vec.length links - 1
   in
-  let paths, hop_lists, core =
+  let paths, routes =
     match spec with
     | Star { leaves } ->
       let hub = Net.add_node net "hub" and sink = Net.add_node net "sink" in
@@ -60,14 +59,13 @@ let build sim spec ~access_rate ~core_rate ~mk_sched ?(prop_delay = 0.0) ?buffer
       let access = Array.map (fun l -> mk_link ~src:l ~dst:hub ~rate:access_rate) leaf in
       let core = mk_link ~src:hub ~dst:sink ~rate:core_rate in
       ( Array.init leaves (fun i -> [ leaf.(i); hub; sink ]),
-        Array.init leaves (fun i -> [ access.(i); core ]),
-        core )
+        Array.init leaves (fun i -> [ access.(i); core ]) )
     | Line { hops } ->
       let nodes = Array.init (hops + 1) (fun i -> Net.add_node net (Printf.sprintf "n%d" i)) in
       let links =
         Array.init hops (fun i -> mk_link ~src:nodes.(i) ~dst:nodes.(i + 1) ~rate:core_rate)
       in
-      ( [| Array.to_list nodes |], [| Array.to_list links |], links.(0) )
+      ([| Array.to_list nodes |], [| Array.to_list links |])
     | Tree { arity; depth } ->
       (* levels.(j) holds the k^j nodes at depth j; leaves at depth
          [depth] are the entries, the root forwards to a sink. *)
@@ -99,7 +97,7 @@ let build sim spec ~access_rate ~core_rate ~mk_sched ?(prop_delay = 0.0) ?buffer
         (nodes @ [ sink ], hops)
       in
       let pairs = Array.init nleaves path_of in
-      (Array.map fst pairs, Array.map snd pairs, up.(0).(0))
+      (Array.map fst pairs, Array.map snd pairs)
     | Dumbbell { left; right } ->
       let a = Net.add_node net "l-router" and b = Net.add_node net "r-router" in
       let srcs = Array.init left (fun i -> Net.add_node net (Printf.sprintf "src%d" i)) in
@@ -108,60 +106,48 @@ let build sim spec ~access_rate ~core_rate ~mk_sched ?(prop_delay = 0.0) ?buffer
       let core = mk_link ~src:a ~dst:b ~rate:core_rate in
       let downs = Array.map (fun d -> mk_link ~src:b ~dst:d ~rate:access_rate) dsts in
       ( Array.init left (fun i -> [ srcs.(i); a; b; dsts.(i mod right) ]),
-        Array.init left (fun i -> [ ups.(i); core; downs.(i mod right) ]),
-        core )
+        Array.init left (fun i -> [ ups.(i); core; downs.(i mod right) ]) )
   in
-  { spec; net; sim; paths; hop_lists; core = core.server; servers = List.rev !servers }
+  { spec; net; paths; links = Sfq_util.Vec.to_array links; routes }
 
 let spec t = t.spec
 let net t = t.net
-let sim t = t.sim
 let entries t = Array.length t.paths
-let path t ~entry = t.paths.(entry)
-let hops t ~entry = t.hop_lists.(entry)
-let nhops t ~entry = List.length t.hop_lists.(entry)
-let core t = t.core
-let servers t = t.servers
+let hops t ~entry = List.map (fun i -> t.links.(i)) t.routes.(entry)
+let nhops t ~entry = List.length t.routes.(entry)
+let servers t = Array.to_list (Array.map (fun (h : hop) -> h.server) t.links)
 
 let route_flow t ~flow ~entry = Net.route t.net ~flow t.paths.(entry)
 
 let close_flow t ~flow ~entry =
   List.fold_left
-    (fun n (h : hop) -> n + List.length (Server.close_flow h.server flow))
-    0 t.hop_lists.(entry)
+    (fun n i -> n + List.length (Server.close_flow t.links.(i).server flow))
+    0 t.routes.(entry)
 
 (* Every generated shape is an in-tree toward one sink, so the
    downstream path of a link — and with it the no-queueing time from
    service start at that link to delivery — is a function of the link
-   alone. Walking each entry's hop list right-to-left accumulates the
+   alone. Walking each entry's route right-to-left accumulates the
    suffix (tx + propagation) sums; shared links are visited once per
    entry but always receive the same value. *)
 let residuals t ~len =
-  let servers = Array.of_list t.servers in
-  let n = Array.length servers in
-  let res = Array.make n nan in
-  let index srv =
-    let rec go i =
-      if i >= n then invalid_arg "Topo.residuals: unknown server"
-      else if servers.(i) == srv then i
-      else go (i + 1)
-    in
-    go 0
-  in
+  let res = Array.make (Array.length t.links) nan in
   let len_f = float_of_int len in
   Array.iter
-    (fun hops ->
+    (fun route ->
       ignore
         (List.fold_right
-           (fun (h : hop) acc ->
+           (fun i acc ->
+             let h = t.links.(i) in
              let acc = acc +. (len_f /. h.capacity) +. h.prop_delay in
-             res.(index h.server) <- acc;
+             res.(i) <- acc;
              acc)
-           hops 0.0
+           route 0.0
           : float))
-    t.hop_lists;
+    t.routes;
   res
 
-let dropped t = List.fold_left (fun n s -> n + Server.drops s) 0 t.servers
-let closed t = List.fold_left (fun n s -> n + Server.closed s) 0 t.servers
-let queued t = List.fold_left (fun n s -> n + (Server.sched s).Sched.size ()) 0 t.servers
+let sum t f = Array.fold_left (fun n (h : hop) -> n + f h.server) 0 t.links
+let dropped t = sum t Server.drops
+let closed t = sum t Server.closed
+let queued t = sum t (fun s -> (Server.sched s).Sched.size ())

@@ -63,21 +63,15 @@ val build :
 
 val spec : t -> spec
 val net : t -> Net.t
-val sim : t -> Sim.t
 
 val entries : t -> int
 (** Number of entry points (1 for [Line]). *)
 
-val path : t -> entry:int -> Net.node list
 val hops : t -> entry:int -> hop list
 (** The servers the route crosses, in route order, with capacity and
     propagation delay — the [β]/[τ] inputs of the composed bound. *)
 
 val nhops : t -> entry:int -> int
-val core : t -> Server.t
-(** The designated bottleneck link (hub→sink, first line link,
-    root→sink, the dumbbell middle). *)
-
 val servers : t -> Server.t list
 (** Every link's server, in creation order (deterministic). *)
 

@@ -91,6 +91,18 @@ let record_error slot entry =
   in
   go ()
 
+(* Task [i]'s result goes to its slot, its failure through
+   [record_error]; [collect] re-raises the winner or unwraps the slots. *)
+let run_task ~f tasks results error i =
+  match f i tasks.(i) with
+  | v -> results.(i) <- Some v
+  | exception e -> record_error error (i, e, Printexc.get_raw_backtrace ())
+
+let collect error results =
+  match Atomic.get error with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> Array.map (function Some v -> v | None -> assert false) results
+
 let map ?(chunk = 1) t ~f tasks =
   if !(Domain.DLS.get inside_task) then
     invalid_arg "Pool.map: nested submit from inside a pool task";
@@ -108,10 +120,7 @@ let map ?(chunk = 1) t ~f tasks =
         if lo < n then begin
           let hi = min n (lo + chunk) in
           for i = lo to hi - 1 do
-            match f i tasks.(i) with
-            | v -> results.(i) <- Some v
-            | exception e ->
-              record_error error (i, e, Printexc.get_raw_backtrace ())
+            run_task ~f tasks results error i
           done;
           go ()
         end
@@ -134,14 +143,22 @@ let map ?(chunk = 1) t ~f tasks =
     done;
     t.job <- None;
     Mutex.unlock t.mutex;
-    match Atomic.get error with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-      Array.map (function Some v -> v | None -> assert false) results
+    collect error results
   end
 
+(* One domain creates no pool: the tasks run inline under the same
+   error rule. [inside_task] is left as it was, so a task of another
+   pool may call this. *)
+let run_inline ~f tasks =
+  let results = Array.make (Array.length tasks) None and error = Atomic.make None in
+  Array.iteri (fun i _ -> run_task ~f tasks results error i) tasks;
+  collect error results
+
 let run ?chunk ~domains ~f tasks =
-  let t = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map ?chunk t ~f tasks)
+  if domains = 1 then run_inline ~f tasks
+  else begin
+    let t = create ~domains in
+    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map ?chunk t ~f tasks)
+  end
 
 let default_domains () = Domain.recommended_domain_count ()

@@ -51,7 +51,9 @@ val shutdown : t -> unit
 
 val run : ?chunk:int -> domains:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
 (** One-shot [create] / [map] / [shutdown] (shutdown runs even when a
-    task raises). *)
+    task raises). [domains = 1] creates no pool: the tasks run inline,
+    in index order, under {!map}'s error discipline. Having no pool to
+    deadlock, it is also allowed from inside a pool task. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], the hardware-sized default

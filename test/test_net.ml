@@ -117,6 +117,13 @@ let test_net_validation () =
        Net.inject net (pkt ~flow:7 ~seq:1 ~len:1 ());
        false
      with Invalid_argument _ -> true);
+  check_bool "negative propagation delay" true
+    (try
+       ignore
+         (Net.link net ~src:a ~dst:b ~rate:(Rate_process.constant 1.0) ~sched:(fifo ())
+            ~prop_delay:(-1.0) ());
+       false
+     with Invalid_argument _ -> true);
   let _ = Net.link net ~src:a ~dst:b ~rate:(Rate_process.constant 1.0) ~sched:(fifo ()) () in
   check_bool "duplicate link" true
     (try

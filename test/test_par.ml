@@ -200,14 +200,18 @@ let test_pool_chunked_ordering () =
 
 let test_pool_exception_propagation () =
   (* every failing index must surface as the smallest one, regardless
-     of which domain hit it first *)
-  match
-    Pool.run ~domains:4
-      ~f:(fun i x -> if x mod 3 = 0 then raise (Boom i) else x)
-      (Array.init 50 (fun i -> i + 1))
-  with
-  | _ -> Alcotest.fail "expected Boom to propagate"
-  | exception Boom i -> check_int "smallest failing index" 2 i
+     of which domain hit it first; the inline 1-domain run too *)
+  List.iter
+    (fun domains ->
+      match
+        Pool.run ~domains
+          ~f:(fun i x -> if x mod 3 = 0 then raise (Boom i) else x)
+          (Array.init 50 (fun i -> i + 1))
+      with
+      | _ -> Alcotest.fail "expected Boom to propagate"
+      | exception Boom i ->
+        check_int (Printf.sprintf "smallest failing index, %d domains" domains) 2 i)
+    [ 1; 4 ]
 
 let test_pool_nested_submit_rejected () =
   match
@@ -217,6 +221,29 @@ let test_pool_nested_submit_rejected () =
   with
   | _ -> Alcotest.fail "nested submit must be rejected"
   | exception Invalid_argument _ -> ()
+
+let test_pool_inline_run_inside_task () =
+  (* a 1-domain run creates no pool, so a task may call it; a 2-domain
+     submit later in the same task is still rejected *)
+  let p = Pool.create ~domains:2 in
+  let r =
+    Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
+        Pool.map p
+          ~f:(fun _ () ->
+            let inline = Pool.run ~domains:1 ~f:(fun i x -> (10 * x) + i) [| 1; 2; 3 |] in
+            let rejected =
+              match Pool.run ~domains:2 ~f:(fun _ x -> x) [| 1 |] with
+              | _ -> false
+              | exception Invalid_argument _ -> true
+            in
+            (inline, rejected))
+          [| (); () |])
+  in
+  Array.iter
+    (fun (inline, rejected) ->
+      check_bool "inline run returns the serial result" true (inline = [| 10; 21; 32 |]);
+      check_bool "nested 2-domain submit still rejected" true rejected)
+    r
 
 let test_pool_shutdown_rejects_map () =
   let p = Pool.create ~domains:2 in
@@ -353,6 +380,8 @@ let () =
             test_pool_exception_propagation;
           Alcotest.test_case "nested submit rejected" `Quick
             test_pool_nested_submit_rejected;
+          Alcotest.test_case "1-domain run inline inside a task" `Quick
+            test_pool_inline_run_inside_task;
           Alcotest.test_case "shutdown rejects map" `Quick
             test_pool_shutdown_rejects_map;
           Alcotest.test_case "pool reuse across sweeps" `Quick

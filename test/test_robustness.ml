@@ -100,6 +100,22 @@ let test_longest_queue_aggregate_evicts_newest_of_longest () =
   check_int "flow 1 trimmed" 1 (inner.Sched.backlog 1);
   check_int "flow 2's arrival admitted" 2 (inner.Sched.backlog 2)
 
+let test_longest_queue_tie_first_seen_pays () =
+  (* flows 5 and 3 (seen in that order, not id order) reach equal
+     backlog: the first-seen flow is the one that pays *)
+  let v, inner, drops = buffered ~aggregate:4 ~policy:Buffered.Longest_queue () in
+  List.iter
+    (fun (f, s) -> v.Sched.enqueue ~now:0.0 (pkt f s))
+    [ (5, 1); (3, 1); (5, 2); (3, 2) ];
+  v.Sched.enqueue ~now:0.0 (pkt 7 1);
+  (match drop_list drops with
+  | [ (Buffered.Evicted, p) ] ->
+    check_int "first-seen flow pays" 5 p.Packet.flow;
+    check_int "with its newest packet" 2 p.Packet.seq
+  | _ -> Alcotest.fail "expected exactly one Evicted drop");
+  check_int "flow 3 untouched" 2 (inner.Sched.backlog 3);
+  check_int "flow 7's arrival admitted" 1 (inner.Sched.backlog 7)
+
 let test_no_evict_degrades_to_reject () =
   (* a discipline that cannot remove mid-queue packets (Sched.no_evict):
      eviction policies must refuse the arrival rather than lose a
@@ -371,6 +387,8 @@ let () =
             test_drop_front_aggregate_evicts_next_to_depart;
           Alcotest.test_case "longest-queue aggregate" `Quick
             test_longest_queue_aggregate_evicts_newest_of_longest;
+          Alcotest.test_case "longest-queue tie: first seen pays" `Quick
+            test_longest_queue_tie_first_seen_pays;
           Alcotest.test_case "no-evict degrades to reject" `Quick
             test_no_evict_degrades_to_reject;
         ] );
