@@ -248,9 +248,9 @@ type fastpath_row = {
 let fastpath_flow_counts = [ 64; 512 ]
 
 (* Native steppers: preallocated packets, constant clock, exn-based
-   dequeues where the module offers them. The float schedulers run
-   through the very same stepper shape (their own native
-   enqueue/dequeue), so the sfq-vs-sfq-fast rows isolate the scheduler
+   dequeues where the module offers them. The float Sfq runs through
+   the very same stepper shape (its own native enqueue/dequeue), so
+   the sfq-vs-sfq-fast rows isolate the scheduler
    interior — tag arithmetic, heap, per-flow state, option boxes — and
    never charge packet construction to either side. Depth-1 prefill
    matches the flow_scaling series. *)
@@ -273,9 +273,10 @@ let native_pifo nflows t =
     (fun p -> Pifo_sched.enqueue t ~now:0.0 p)
     (fun () -> ignore (Pifo_sched.dequeue_exn t))
 
-(* The *-fast and sp-pifo rows time the engine Disc serves under those
-   names: the rank programs on the PIFO runtime, over the exact store
-   and over 8 banks. *)
+(* Every row but sfq times the engine Disc serves under that name: the
+   float rank programs on the runtime's float store (scfq,
+   virtual-clock), the int rank programs on its int store (the -fast
+   rows) and over 8 banks (sp-pifo). *)
 let fastpath_steppers nflows =
   let weights = Weights.uniform 1000.0 in
   let native = native nflows in
@@ -289,20 +290,11 @@ let fastpath_steppers nflows =
           (fun () -> ignore (Sfq_core.Sfq.dequeue t ~now:0.0)) );
     ( "sfq-fast",
       fun () -> native_pifo nflows (Pifo_sched.create (Programs.sfq weights)) );
-    ( "scfq",
-      fun () ->
-        let t = Scfq.create weights in
-        native
-          (fun p -> Scfq.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Scfq.dequeue t ~now:0.0)) );
+    ("scfq", fun () -> native_pifo nflows (Pifo_sched.create (Programs.scfq_float weights)));
     ( "scfq-fast",
       fun () -> native_pifo nflows (Pifo_sched.create (Programs.scfq weights)) );
     ( "virtual-clock",
-      fun () ->
-        let t = Virtual_clock.create weights in
-        native
-          (fun p -> Virtual_clock.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Virtual_clock.dequeue t ~now:0.0)) );
+      fun () -> native_pifo nflows (Pifo_sched.create (Programs.virtual_clock_float weights)) );
     ( "vc-fast",
       fun () -> native_pifo nflows (Pifo_sched.create (Programs.virtual_clock weights)) );
     ( "sp-pifo",

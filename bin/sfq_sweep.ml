@@ -254,9 +254,11 @@ let churn_cmd domains cycles window rss_limit_kb =
     1
 
 (* ------------------------------------------------------------------ *)
-(* pifo: digest equivalence of the PIFO runtime — the engine Disc
-   serves as sfq-fast/scfq-fast/vc-fast — against the hand-written
-   originals over Suite.pifo_cells, plus a verdict check on the
+(* pifo: digest equivalence of the int rank programs on the PIFO
+   runtime — the engine Disc serves as sfq-fast/scfq-fast/vc-fast —
+   against the float originals (float Sfq, and the float rank programs
+   on the same runtime's float store) over Suite.pifo_cells, plus a
+   verdict check on the
    approximate sp-pifo cells. The outcome digests cover departures,
    finish time, drops and monitor violations, so equality here means
    the runtime drained the same traffic to the same instant with every
@@ -280,6 +282,7 @@ let pifo_cmd domains =
   let weights_of (w : Workload.t) =
     Sfq_base.Weights.of_list ~default:1.0 w.Workload.weights
   in
+  let pifo_float prog = Sfq_pifo.Pifo_sched.(sched (create prog)) in
   (* float counterparts of the structurally-monitored ports, over the
      same traces (Suite's structural_cells use the override pool) *)
   let structural_cells what pool mk =
@@ -325,21 +328,21 @@ let pifo_cmd domains =
   check "scfq = pifo-scfq" (Suite.scfq_cells ~pool ()) (prefixed "pifo-scfq#");
   check "vc = pifo-vc"
     (structural_cells "vc" pool (fun w ->
-         Sfq_sched.Virtual_clock.sched (Sfq_sched.Virtual_clock.create (weights_of w))))
+         pifo_float (Sfq_pifo.Programs.virtual_clock_float (weights_of w))))
     (prefixed "pifo-vc#");
   check "edd = pifo-edd"
     (structural_cells "edd" slice (fun w ->
-         Sfq_sched.Delay_edd.sched (Sfq_sched.Delay_edd.create (specs w))))
+         pifo_float (Sfq_pifo.Programs.delay_edd_float (specs w))))
     (prefixed "pifo-edd#");
   check "fqs = pifo-fqs"
     (structural_cells "fqs" slice (fun w ->
-         Sfq_sched.Fqs.sched
-           (Sfq_sched.Fqs.create ~capacity:w.Workload.capacity (weights_of w))))
+         pifo_float
+           (Sfq_pifo.Programs.fqs_float ~capacity:w.Workload.capacity (weights_of w))))
     (prefixed "pifo-fqs#");
   check "wf2q = pifo-wf2q"
     (structural_cells "wf2q" slice (fun w ->
-         Sfq_sched.Wf2q.sched
-           (Sfq_sched.Wf2q.create ~capacity:w.Workload.capacity (weights_of w))))
+         pifo_float
+           (Sfq_pifo.Programs.wf2q_float ~capacity:w.Workload.capacity (weights_of w))))
     (prefixed "pifo-wf2q#");
   (* sp-pifo approximates rank order, so there is no float twin to
      match — but its structural/conservation monitors must stay silent
@@ -676,7 +679,7 @@ let pifo_cmd_t =
        ~doc:
          "Check the PIFO runtime (the engine behind sfq-fast/scfq-fast/vc-fast): \
           cell-by-cell outcome-digest equality of every rank-program port \
-          (pifo-sfq/scfq/vc/edd/fqs/wf2q) against its hand-written original over \
+          (pifo-sfq/scfq/vc/edd/fqs/wf2q) against its float original over \
           the frozen theorem pool, and a clean-verdict check on the approximate \
           sp-pifo cells")
     pifo_t

@@ -143,9 +143,7 @@ let make_sched name tracer (w : Workload.t) =
       (fun ~now ~pkt ~stag ~ftag ~vtime ->
         Tracer.tag_hook tracer ~now ~pkt ~stag ~ftag ~vtime);
     (Sfq.sched t, Some (fun () -> Sfq.vtime t))
-  | "scfq" ->
-    let t = Sfq_sched.Scfq.create weights in
-    (Sfq_sched.Scfq.sched t, Some (fun () -> Sfq_sched.Scfq.vtime t))
+  | "scfq" -> pifo Sfq_pifo.(Pifo_sched.create (Programs.scfq_float weights))
   | "sfq-fast" -> pifo ~name Sfq_pifo.(Pifo_sched.create (Programs.sfq weights))
   | "scfq-fast" -> pifo ~name Sfq_pifo.(Pifo_sched.create (Programs.scfq weights))
   | "pifo-sfq" -> pifo Sfq_pifo.(Pifo_sched.create (Programs.sfq weights))

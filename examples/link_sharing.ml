@@ -36,9 +36,11 @@ let () =
     (* Real-time class: EDF inside, decoupling its delay from its
        throughput share (§3 "separation of delay and throughput"). *)
     Hsfq.add_leaf h ~parent:org_a ~weight:1.0
-      (Sfq_sched.Delay_edd.sched
-         (Sfq_sched.Delay_edd.create
-            [ (1, { Sfq_sched.Delay_edd.rate = 2.0e6; deadline = 0.005; max_len = pkt_len }) ]))
+      Sfq_pifo.(
+        Pifo_sched.sched
+          (Pifo_sched.create
+             (Programs.delay_edd_float
+                [ (1, { Sfq_sched.Delay_edd.rate = 2.0e6; deadline = 0.005; max_len = pkt_len }) ])))
   in
   let a_bulk = Hsfq.add_leaf h ~parent:org_a ~weight:2.0 (fifo ()) in
   let b_web = Hsfq.add_leaf h ~parent:org_b ~weight:1.0 (fifo ()) in

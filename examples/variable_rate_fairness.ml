@@ -37,6 +37,8 @@ let run (name, sched) =
   let h = Fairness.max_pairwise_h log ~rates ~until:duration ~exact:false in
   (name, tput 1, tput 2, tput 3, h)
 
+let pifo prog = Sfq_pifo.Pifo_sched.(sched (create prog))
+
 let () =
   let l = float_of_int pkt_len in
   let bound = Sfq_core.Bounds.h_sfq ~lmax_f:l ~r_f:1.0e6 ~lmax_m:l ~r_m:1.0e6 in
@@ -44,9 +46,9 @@ let () =
     [
       ("SFQ", Sfq_core.Sfq.sched (Sfq_core.Sfq.create weights));
       ("WFQ(6Mb/s assumed)", Sfq_sched.Wfq.sched (Sfq_sched.Wfq.create ~capacity:6.0e6 weights));
-      ("SCFQ", Sfq_sched.Scfq.sched (Sfq_sched.Scfq.create weights));
+      ("SCFQ", pifo (Sfq_pifo.Programs.scfq_float weights));
       ("DRR", Sfq_sched.Drr.sched (Sfq_sched.Drr.create ~quantum:(l /. 1.0e6) weights));
-      ("VirtualClock", Sfq_sched.Virtual_clock.sched (Sfq_sched.Virtual_clock.create weights));
+      ("VirtualClock", pifo (Sfq_pifo.Programs.virtual_clock_float weights));
     ]
   in
   let table =

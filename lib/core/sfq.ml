@@ -89,12 +89,7 @@ let vtime t = t.v
    later), so eviction can never let a flow jump ahead of where it
    would have been — the paper's eq. 4 monotonicity is preserved. *)
 let evict t victim flow =
-  let popped =
-    match (victim : Sched.victim) with
-    | Sched.Oldest -> Flow_heap.evict_front t.fh flow
-    | Sched.Newest -> Flow_heap.evict_back t.fh flow
-  in
-  match popped with None -> None | Some p -> Some p.Flow_heap.value
+  Flow_heap.evict t.fh victim flow
 
 (* Closing forgets F(p_f^{j-1}), so a later open of the same id starts
    from the default 0 and eq. 4 gives S = max(v, 0) = v(t): the

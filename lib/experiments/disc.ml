@@ -57,8 +57,9 @@ let name = function
 
 let pifo prog = Sfq_pifo.Pifo_sched.sched (Sfq_pifo.Pifo_sched.create prog)
 
-(* The *-fast names and sp-pifo are the rank programs on the same
-   runtime, under their historical discipline names. *)
+(* SCFQ, FQS, WF2Q, Virtual Clock and LSTF are float rank programs on
+   the runtime; the *-fast names and sp-pifo are int rank programs on
+   it, under their historical discipline names. *)
 let renamed name sched = { sched with Sfq_base.Sched.name }
 
 let make spec weights =
@@ -66,12 +67,12 @@ let make spec weights =
   | Sfq -> Sfq_core.Sfq.sched (Sfq_core.Sfq.create weights)
   | Wfq { capacity } -> Wfq.sched (Wfq.create ~capacity weights)
   | Wfq_real { capacity } -> Wfq.sched (Wfq.create ~capacity ~clock:`Real weights)
-  | Fqs { capacity } -> Fqs.sched (Fqs.create ~capacity weights)
-  | Wf2q { capacity } -> Wf2q.sched (Wf2q.create ~capacity weights)
-  | Scfq -> Scfq.sched (Scfq.create weights)
+  | Fqs { capacity } -> pifo (Sfq_pifo.Programs.fqs_float ~capacity weights)
+  | Wf2q { capacity } -> pifo (Sfq_pifo.Programs.wf2q_float ~capacity weights)
+  | Scfq -> pifo (Sfq_pifo.Programs.scfq_float weights)
   | Drr { quantum } -> Drr.sched (Drr.create ~quantum weights)
   | Wrr -> Wrr.sched (Wrr.create weights)
-  | Virtual_clock -> Virtual_clock.sched (Virtual_clock.create weights)
+  | Virtual_clock -> pifo (Sfq_pifo.Programs.virtual_clock_float weights)
   | Fair_airport -> Fair_airport.sched (Fair_airport.create weights)
   | Fifo -> Fifo.sched (Fifo.create ())
   | Sfq_fast -> renamed "sfq-fast" (pifo (Sfq_pifo.Programs.sfq weights))
@@ -86,6 +87,6 @@ let make spec weights =
   | Pifo_vc -> pifo (Sfq_pifo.Programs.virtual_clock weights)
   | Pifo_fqs { capacity } -> pifo (Sfq_pifo.Programs.fqs ~capacity weights)
   | Pifo_wf2q { capacity } -> pifo (Sfq_pifo.Programs.wf2q ~capacity weights)
-  | Lstf { deadline; residual } -> Lstf.sched (Lstf.create ~residual ~deadline ())
+  | Lstf { deadline; residual } -> pifo (Sfq_pifo.Programs.lstf_float ~residual ~deadline ())
   | Pifo_lstf { deadline; residual } ->
     pifo (Sfq_pifo.Programs.lstf ~residual ~deadline ())

@@ -38,14 +38,14 @@ type spec =
       deadline : Sfq_base.Packet.t -> float;
       residual : Sfq_base.Packet.t -> float;
     }
-      (** Least-Slack-Time-First ({!Sfq_sched.Lstf}): serves by
-          [deadline − residual]. Ignores the weights — deadlines are
-          the whole policy. Carries closures, so unlike the other
-          specs it is not structurally comparable. *)
+      (** Least-Slack-Time-First ({!Sfq_pifo.Programs.lstf_float}):
+          serves by [deadline − residual]. Ignores the weights —
+          deadlines are the whole policy. Carries closures, so unlike
+          the other specs it is not structurally comparable. *)
   | Pifo_lstf of {
       deadline : Sfq_base.Packet.t -> float;
       residual : Sfq_base.Packet.t -> float;
-    }  (** the same discipline as a rank program on the PIFO runtime *)
+    }  (** the same discipline quantised to int ranks ({!Sfq_pifo.Programs.lstf}) *)
 
 val name : spec -> string
 val make : spec -> Weights.t -> Sched.t

@@ -654,19 +654,15 @@ let replay_net ns under =
          time at this link that still meets the recorded delivery
          time, assuming no further queueing downstream. *)
       let residual (_ : Packet.t) = ns.rresiduals.(ix) in
-      let open Sfq_sched in
+      let lstf ?tie deadline =
+        Sfq_pifo.(
+          Pifo_sched.sched (Pifo_sched.create ?tie (Programs.lstf_float ~residual ~deadline ())))
+      in
       match mutant with
-      | None -> Lstf.sched (Lstf.create ~residual ~deadline ())
-      | Some Replay.Wrong_slack ->
-        Lstf.sched
-          (Lstf.create ~residual
-             ~deadline:(fun p -> deadline p -. p.Packet.born)
-             ())
+      | None -> lstf deadline
+      | Some Replay.Wrong_slack -> lstf (fun p -> deadline p -. p.Packet.born)
       | Some Replay.Priority_tie ->
-        Lstf.sched
-          (Lstf.create
-             ~tie:(Sfq_sched.Tag_queue.High_rate (fun f -> float_of_int (f + 1)))
-             ~residual ~deadline ())
+        lstf ~tie:(Sfq_sched.Tag_queue.High_rate (fun f -> float_of_int (f + 1))) deadline
     in
     ignore (run_raw s ~mk_link ~tap : outcome));
   compare_delivery ns (Array.of_list (List.rev !got))

@@ -1,5 +1,4 @@
 open Sfq_base
-module Tag_queue = Sfq_sched.Tag_queue
 
 type row = {
   disc : string;
@@ -160,26 +159,25 @@ let run ?(seed = 0x26) () =
         ~mk_pifo:(fun w -> p (Programs.sfq w))
         (gen_scenario seed);
       pair ~disc:"scfq"
-        ~mk_float:(fun w -> Sfq_sched.Scfq.sched (Sfq_sched.Scfq.create w))
+        ~mk_float:(fun w -> p (Programs.scfq_float w))
         ~mk_pifo:(fun w -> p (Programs.scfq w))
         (gen_scenario (seed + 1));
       pair ~disc:"vc"
-        ~mk_float:(fun w ->
-          Sfq_sched.Virtual_clock.sched (Sfq_sched.Virtual_clock.create w))
+        ~mk_float:(fun w -> p (Programs.virtual_clock_float w))
         ~mk_pifo:(fun w -> p (Programs.virtual_clock w))
         (gen_scenario (seed + 2));
       (let ((weights, _, _) as scenario) = gen_scenario (seed + 3) in
        let specs = edd_specs weights in
        pair ~disc:"edd"
-         ~mk_float:(fun _ -> Sfq_sched.Delay_edd.sched (Sfq_sched.Delay_edd.create specs))
+         ~mk_float:(fun _ -> p (Programs.delay_edd_float specs))
          ~mk_pifo:(fun _ -> p (Programs.delay_edd specs))
          scenario);
       pair ~disc:"fqs"
-        ~mk_float:(fun w -> Sfq_sched.Fqs.sched (Sfq_sched.Fqs.create ~capacity w))
+        ~mk_float:(fun w -> p (Programs.fqs_float ~capacity w))
         ~mk_pifo:(fun w -> p (Programs.fqs ~capacity w))
         (gen_scenario (seed + 4));
       pair ~disc:"wf2q"
-        ~mk_float:(fun w -> Sfq_sched.Wf2q.sched (Sfq_sched.Wf2q.create ~capacity w))
+        ~mk_float:(fun w -> p (Programs.wf2q_float ~capacity w))
         ~mk_pifo:(fun w -> p (Programs.wf2q ~capacity w))
         (gen_scenario (seed + 5));
       (let ((weights, _, _) as scenario) = gen_scenario (seed + 6) in

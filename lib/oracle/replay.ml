@@ -103,23 +103,22 @@ let deadline_fn sch (p : Packet.t) =
 let lstf ?mutant sch =
   let deadline = deadline_fn sch in
   let residual (p : Packet.t) = float_of_int p.Packet.len /. sch.cap in
-  let open Sfq_sched in
+  let open Sfq_pifo in
+  let lstf ?tie deadline =
+    Pifo_sched.sched (Pifo_sched.create ?tie (Programs.lstf_float ~residual ~deadline ()))
+  in
   match mutant with
-  | None -> Lstf.sched (Lstf.create ~residual ~deadline ())
+  | None -> lstf deadline
   | Some Wrong_slack ->
     (* The ingress slack o − i − tx, frozen at arrival: subtracting
        born from the deadline stops the slack from depleting while the
        packet queues, so a late-born packet with a later output time
        can overtake an early-born one. *)
-    Lstf.sched
-      (Lstf.create ~residual ~deadline:(fun p -> deadline p -. p.Packet.born) ())
+    lstf (fun p -> deadline p -. p.Packet.born)
   | Some Priority_tie ->
     (* FIFO tie order broken: among equal ranks the higher flow id is
        preferred instead of the earlier arrival. *)
-    Lstf.sched
-      (Lstf.create
-         ~tie:(Tag_queue.High_rate (fun f -> float_of_int (f + 1)))
-         ~residual ~deadline ())
+    lstf ~tie:(Sfq_sched.Tag_queue.High_rate (fun f -> float_of_int (f + 1))) deadline
 
 (* Witness margin currency: the recorded output time. The schedule
    does not store packet lengths, so the margin compares deadlines
@@ -188,6 +187,8 @@ type cell = { label : string; run : unit -> verdict }
 
 let weights_of (w : Workload.t) = Weights.of_list ~default:1.0 w.Workload.weights
 
+let pifo prog = Sfq_pifo.Pifo_sched.(sched (create prog))
+
 let factories (w : Workload.t) =
   let open Sfq_sched in
   let cap = w.Workload.capacity in
@@ -198,16 +199,13 @@ let factories (w : Workload.t) =
   in
   [
     ("sfq", fun () -> Sfq_core.Sfq.sched (Sfq_core.Sfq.create (weights_of w)));
-    ("scfq", fun () -> Scfq.sched (Scfq.create (weights_of w)));
-    ("vc", fun () -> Virtual_clock.sched (Virtual_clock.create (weights_of w)));
+    ("scfq", fun () -> pifo (Sfq_pifo.Programs.scfq_float (weights_of w)));
+    ("vc", fun () -> pifo (Sfq_pifo.Programs.virtual_clock_float (weights_of w)));
     ("drr", fun () -> Drr.sched (Drr.create (weights_of w)));
-    ("edd", fun () -> Delay_edd.sched (Delay_edd.create (specs ())));
+    ("edd", fun () -> pifo (Sfq_pifo.Programs.delay_edd_float (specs ())));
     ("fifo", fun () -> Fifo.sched (Fifo.create ()));
-    ("wf2q", fun () -> Wf2q.sched (Wf2q.create ~capacity:cap (weights_of w)));
-    ( "pifo-sfq",
-      fun () ->
-        Sfq_pifo.Pifo_sched.sched
-          (Sfq_pifo.Pifo_sched.create (Sfq_pifo.Programs.sfq (weights_of w))) );
+    ("wf2q", fun () -> pifo (Sfq_pifo.Programs.wf2q_float ~capacity:cap (weights_of w)));
+    ("pifo-sfq", fun () -> pifo (Sfq_pifo.Programs.sfq (weights_of w)));
   ]
 
 let suite_cells ?pool ?limit () =

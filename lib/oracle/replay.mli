@@ -88,7 +88,8 @@ val schedule_hash : schedule -> string
     currency. *)
 
 val lstf : ?mutant:mutant -> schedule -> Sched.t
-(** The replaying scheduler: {!Sfq_sched.Lstf} with deadline =
+(** The replaying scheduler: {!Sfq_pifo.Programs.lstf_float} on the
+    PIFO runtime, with deadline =
     recorded output time and residual = [len/capacity]. A packet
     absent from the schedule raises [Invalid_argument] at enqueue.
     [mutant] seeds the corresponding defect instead. *)

@@ -94,10 +94,10 @@ let sfq_cells ?(pool = theorem_pool) () = cells ~what:"sfq" ~driver:sfq_driver p
 
 let scfq_cells ?(pool = theorem_pool) () =
   cells ~what:"scfq" pool ~driver:(fun w ->
-      let s = Scfq.create (weights_of w) in
+      let s = Sfq_pifo.(Pifo_sched.create (Programs.scfq_float (weights_of w))) in
       {
-        Run.sched = Scfq.sched s;
-        monitors = scfq_set w ~vtime:(fun () -> Scfq.vtime s);
+        Run.sched = Sfq_pifo.Pifo_sched.sched s;
+        monitors = scfq_set w ~vtime:(fun () -> Sfq_pifo.Pifo_sched.vtime s);
         on_reweight = None;
       })
 
@@ -110,6 +110,9 @@ let sfq_override_cells ?(pool = override_pool) () =
         on_reweight = None;
       })
 
+(* A float program on the PIFO runtime. *)
+let pifo prog = Sfq_pifo.Pifo_sched.(sched (create prog))
+
 (* Factories, not schedulers: the Sched.t is only built inside the
    driver thunk, on the domain that runs the cell. *)
 let discipline_factories (w : Workload.t) =
@@ -121,14 +124,14 @@ let discipline_factories (w : Workload.t) =
   in
   [
     ("sfq", fun () -> Sfq.sched (Sfq.create (weights_of w)));
-    ("scfq", fun () -> Scfq.sched (Scfq.create (weights_of w)));
-    ("fqs", fun () -> Fqs.sched (Fqs.create ~capacity:cap (weights_of w)));
-    ("vc", fun () -> Virtual_clock.sched (Virtual_clock.create (weights_of w)));
+    ("scfq", fun () -> pifo (Sfq_pifo.Programs.scfq_float (weights_of w)));
+    ("fqs", fun () -> pifo (Sfq_pifo.Programs.fqs_float ~capacity:cap (weights_of w)));
+    ("vc", fun () -> pifo (Sfq_pifo.Programs.virtual_clock_float (weights_of w)));
     ("wfq-fluid", fun () -> Wfq.sched (Wfq.create ~capacity:cap (weights_of w)));
     ("wfq-real", fun () -> Wfq.sched (Wfq.create ~capacity:cap ~clock:`Real (weights_of w)));
-    ("wf2q", fun () -> Wf2q.sched (Wf2q.create ~capacity:cap (weights_of w)));
+    ("wf2q", fun () -> pifo (Sfq_pifo.Programs.wf2q_float ~capacity:cap (weights_of w)));
     ("drr", fun () -> Drr.sched (Drr.create (weights_of w)));
-    ("edd", fun () -> Delay_edd.sched (Delay_edd.create (specs ())));
+    ("edd", fun () -> pifo (Sfq_pifo.Programs.delay_edd_float (specs ())));
   ]
 
 let structural_cells ?(pool = override_pool) () =
@@ -178,7 +181,7 @@ let reweight_cells ?(pool = reweight_pool) () =
            cell "scfq" (fun () ->
                let wt, f = dyn_weights w in
                {
-                 Run.sched = Scfq.sched (Scfq.create wt);
+                 Run.sched = pifo (Sfq_pifo.Programs.scfq_float wt);
                  monitors = structural ();
                  on_reweight = Some f;
                });
@@ -202,9 +205,9 @@ let stress_cells ?(pool = stress_pool) () =
            (discipline_factories w))
        pool)
 
-(* Runtime cells: every Programs rank program on the Pifo_sched
+(* Runtime cells: every Programs int rank program on the Pifo_sched
    runtime (the engine behind the *-fast names) faces the monitor set
-   of its hand-written counterpart. pifo-sfq and pifo-scfq keep the
+   of its float counterpart. pifo-sfq and pifo-scfq keep the
    full theorem sets over the whole pool (equivalence is the point, so
    any quantization-induced violation must surface); the clock- and
    GPS-driven ports carry the structural invariants like their float

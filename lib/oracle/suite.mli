@@ -70,9 +70,9 @@ val stress_cells : ?pool:Workload.t list -> unit -> Run.cell list
     {!stress_pool} by default; labels ["<disc>+stress#i"]. *)
 
 val pifo_cells : ?pool:Workload.t list -> unit -> Run.cell list
-(** Every {!Sfq_pifo.Programs} rank program on the
+(** Every {!Sfq_pifo.Programs} int rank program on the
     {!Sfq_pifo.Pifo_sched} runtime (the engine [Disc] serves as
-    sfq-fast/scfq-fast/vc-fast), under its hand-written counterpart's
+    sfq-fast/scfq-fast/vc-fast), under its float counterpart's
     monitor set: pifo-sfq under the full SFQ theorem set, pifo-scfq
     under the SCFQ set and pifo-vc under the structural invariants
     over the whole [pool] (default {!theorem_pool}); pifo-edd,

@@ -57,15 +57,6 @@ let delta t pkt =
       let i = int_of_float x in
       if i < 1 then 1 else i
 
-let delta_reserved t pkt =
-  ensure t pkt.Packet.flow;
-  let sor = t.sor.(pkt.Packet.flow) in
-  let x = Float.round (float_of_int pkt.Packet.len *. sor) in
-  if x >= Tag.max_tag_f then Tag.max_tag
-  else
-    let i = int_of_float x in
-    if i < 1 then 1 else i
-
 (* Fused per-packet updates for the common rank-program shapes. Each
    does the whole grow/activate/delta/read/max/add/store sequence in
    one body behind a single module-boundary call — the separate
@@ -155,10 +146,6 @@ let get t flow = if flow < Array.length t.tag then t.tag.(flow) else 0
 let set t flow v =
   if flow >= Array.length t.tag then grow t flow;
   t.tag.(flow) <- v
-
-let now_tag t now =
-  let x = Float.round (now *. t.scale) in
-  if x >= Tag.max_tag_f then Tag.max_tag else if x <= 0.0 then 0 else int_of_float x
 
 let clear t = Array.fill t.tag 0 (Array.length t.tag) 0
 

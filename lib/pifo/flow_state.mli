@@ -38,11 +38,6 @@ val delta : t -> Packet.t -> int
     packet only. Grows the arrays as needed.
     @raise Invalid_argument if the flow's rate is [<= 0]. *)
 
-val delta_reserved : t -> Packet.t -> int
-(** Like {!delta} but ignoring per-packet rate overrides — SCFQ prices
-    every packet at the flow's reserved rate, as the float original
-    does. *)
-
 val advance : t -> floor:int -> Packet.t -> int
 (** Fused SFQ-shape update in one call: grow/activate as needed,
     compute the packet's {!delta} [d] (honouring a per-packet rate
@@ -60,9 +55,10 @@ val advance_reserved : t -> floor:int -> Packet.t -> int
 
 val advance_eat : t -> now:float -> Packet.t -> int
 (** Fused Virtual-Clock-shape update: compute [d] (honouring rate
-    overrides) and [nt = now_tag now], read the flow's EAT floor
-    [fl], take [eat = max nt fl], store [sat_add eat d], and return
-    [eat]. The stored stamp is readable via {!last}. *)
+    overrides) and the real-time tag [nt = round (now * scale)]
+    (negative clocks clamp to 0, the rail saturates), read the flow's
+    EAT floor [fl], take [eat = max nt fl], store [sat_add eat d], and
+    return [eat]. The stored stamp is readable via {!last}. *)
 
 val last : t -> int
 (** The tag stored by the most recent [advance]/[advance_reserved]/
@@ -74,11 +70,6 @@ val get : t -> Packet.flow -> int
     schedulers' [F = 0] / clamped EAT-floor defaults). *)
 
 val set : t -> Packet.flow -> int -> unit
-
-val now_tag : t -> float -> int
-(** Real time encoded as a tag: [round (now * scale)], negative clocks
-    clamping to 0 (the slot default) and the rail saturating — the
-    Virtual Clock convention of {!advance_eat}. *)
 
 val clear : t -> unit
 (** Zero every tag slot, keeping rate caches — SCFQ's idle reset. *)

@@ -4,36 +4,44 @@
     The runtime owns everything that is {e not} discipline logic —
     which, per Alcoz & Vass et al. ("Everything Matters in Programmable
     Packet Scheduling"), is where scheduler correctness actually
-    lives: admission (rank clamping at the {!Tag} saturation rail —
-    ranks saturate, never wrap), FIFO-stable tie resolution (the
-    {!Sfq_sched.Iflow_heap} [(key, tie, uid)] contract, with per-flow
-    tie values cached at activation), the evict/close lifecycle, and
-    the optional two-stage shaper for {!Rank_program.shaped}
-    disciplines.
+    lives: admission (flow-id validation; int ranks clamp at the {!Tag}
+    saturation rail — they saturate, never wrap), FIFO-stable tie
+    resolution (the [(key, tie, uid)] contract of the stores), the
+    evict/close lifecycle, and the optional two-stage shaper for
+    {!Rank_program.t.shaped} disciplines.
 
-    This is the only int-tag engine: the ["sfq-fast"], ["scfq-fast"],
-    ["vc-fast"] and ["sp-pifo"] names of [Sfq_experiments.Disc] are
-    this runtime running {!Programs.sfq}, {!Programs.scfq},
-    {!Programs.virtual_clock} and {!Programs.sfq} over banks.
+    It is the library's engine for every discipline but float SFQ, WFQ
+    and the class hierarchies: [Sfq_experiments.Disc] serves
+    ["scfq"], ["virtual-clock"], ["delay-edd"], ["fqs"], ["wf2q"] and
+    ["lstf"] as the {!Programs} float programs on the float stores, and
+    ["sfq-fast"], ["scfq-fast"], ["vc-fast"] and ["sp-pifo"] as int
+    programs on the int stores.
 
-    One runtime, two rank stores; the layout is chosen once at
-    {!create}:
-    - exact (unshaped, the default): a single {!Sfq_sched.Iflow_heap}
+    The store follows from the program's {!Rank_program.keys},
+    {!Rank_program.t.shaped} and [~banks], and is fixed at {!create}:
+    - exact int (unshaped [Int]): a single {!Sfq_sched.Iflow_heap}
       (per-flow FIFO rings, heads-only int heap), serving in exact
       [(rank, tie, uid)] order. [enqueue]/[dequeue_exn] allocate
       nothing in steady state — the rank call is closure dispatch with
       int arguments, per-packet outputs travel through the program's
       pre-allocated {!Rank_program.regs} cell.
-    - banked ([~banks]): SP-PIFO's strict-priority FIFO banks
+    - banked int ([~banks]): SP-PIFO's strict-priority FIFO banks
       ({!Sp_pifo}), an approximate store — the served rank may be
       below one served earlier. Same zero-allocation contract.
-    - shaped (WF²Q), exact stores only: packets wait in a shaper [Iflow_heap] keyed by
+    - shaped int: packets wait in a shaper [Iflow_heap] keyed by
       eligibility rank and move to a service {!Sfq_util.Iheap} keyed by
-      service rank once {!Rank_program.t.horizon} passes their
-      eligibility — carrying their original arrival uid, so ties
-      resolve exactly as in the float two-stage scheduler. When
-      nothing is eligible the earliest eligibility rank is served
-      instead (work conservation).
+      service rank once the program's horizon passes their eligibility
+      — carrying their original arrival uid, so ties resolve exactly as
+      in a single two-stage heap. When nothing is eligible the earliest
+      eligibility rank is served instead (work conservation).
+    - exact float (unshaped [Float]): a single {!Sfq_sched.Flow_heap}
+      ordered by the float [(rank, tie, uid)].
+    - shaped float: a {!Sfq_sched.Flow_heap} shaper feeding a
+      {!Sfq_util.Fheap} service stage, by the int shaper's rules.
+    Int and float stores share the tie rule, the lifecycle and the
+    shaper rules; a float tie value is the rule's own float (evaluated
+    per push, as the float stores always did), an int one its
+    {!Tag.tie_encode} image cached per flow activation.
 
     Eviction removes packets without rolling tags back (the flow keeps
     its virtual-time charge, eq. 4); closing flushes the flow, resets
@@ -51,7 +59,8 @@ val create : ?tie:Sfq_sched.Tag_queue.tie -> ?banks:int -> Rank_program.t -> t
     banks instead of the exact store. Calls the program's [attach]
     hook with this instance's [size] thunk.
     @raise Invalid_argument if [banks < 1], or if [banks] is given
-    with a shaped program or a tie other than [Arrival]. *)
+    with a float program, a shaped program or a tie other than
+    [Arrival]. *)
 
 val enqueue : t -> now:float -> Packet.t -> unit
 (** Rank and admit one packet.
@@ -62,8 +71,9 @@ val dequeue : t -> now:float -> Packet.t option
     the program's [on_idle] busy-period hook) when empty. *)
 
 val dequeue_exn : t -> Packet.t
-(** Non-allocating dequeue for callers that already know the queue is
-    non-empty (pair with {!is_empty}); shaped programs promote against
+(** Dequeue for callers that already know the queue is non-empty
+    (pair with {!is_empty}), non-allocating on the int stores; shaped
+    programs promote against
     the last observed clock. @raise Invalid_argument if empty. *)
 
 val peek : t -> Packet.t option
@@ -80,7 +90,7 @@ val vtime : t -> float
 val high_tag : t -> int
 (** Largest (clamped) rank ever admitted, or, on unshaped programs,
     the largest (clamped) [regs.aux] if that is larger — SFQ's finish
-    tag. *)
+    tag. Always 0 for float programs, which have no rail. *)
 
 val saturated : t -> bool
 (** Has {!high_tag} hit the {!Tag.max_tag} rail? From then on the
@@ -96,6 +106,6 @@ val sched : t -> Sched.t
     the netsim server, sweeps, tracing and [Buffered] work unchanged.
     The closures are picked once from the store and
     {!Rank_program.t.shaped}: the exact view never tests for the
-    shaper or the banks. Its [dequeue]
+    shaper, the banks or the key domain. Its [dequeue]
     pays the [Some] box; the zero-allocation contract applies to
     {!enqueue} and {!dequeue_exn}. *)

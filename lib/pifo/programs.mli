@@ -1,24 +1,97 @@
-(** The paper's disciplines as rank programs.
+(** The paper's disciplines as rank programs for {!Pifo_sched}.
 
-    Each constructor below is the ~20-line port of one hand-written
-    scheduler onto the {!Pifo_sched} runtime; the equivalence harness
-    ([test/test_pifo_equiv.ml]) holds every port to its original —
-    packet-for-packet on dyadic workloads for the pure fixed-point
-    programs, outcome-digest over the frozen pools for the GPS-clocked
-    ones (whose tags involve non-dyadic fluid divisions).
+    {b Float programs} ([*_float]) rank with real-valued tags on the
+    runtime's float stores. They are the library's SCFQ, Virtual Clock,
+    Delay EDD, FQS, WF²Q and LSTF, served by [Sfq_experiments.Disc]
+    under their program names. [test_order_equiv] holds SCFQ, Virtual
+    Clock, FQS and WF²Q to the frozen seed copies in
+    [Sfq_sched.Ref_sched] under all three tie rules, and pins all six
+    through dequeue, evict and close.
 
+    {b Int programs} rank with {!Tag}-scaled ints on the int stores.
     [sfq], [scfq] and [virtual_clock] are also the engines behind the
     ["sfq-fast"], ["scfq-fast"] and ["vc-fast"] disciplines of
-    [Sfq_experiments.Disc], and [sfq] over the runtime's bank store is
-    ["sp-pifo"]; Disc renames the runtime's [Sched.t] view and changes
-    nothing else.
+    [Sfq_experiments.Disc], and [sfq] over the bank store is
+    ["sp-pifo"]. [fqs], [wf2q] and [lstf] are their float programs
+    behind one quantising adapter that encodes every rank, aux,
+    eligibility rank and horizon through the {!Tag} codec, so no GPS
+    or LSTF rank logic is written twice. [test/test_pifo_equiv.ml]
+    holds every int program to its float counterpart:
+    packet-for-packet on dyadic workloads, outcome-digest over the
+    frozen pools for the GPS-clocked ones.
 
     Quantization, rate-snapshot and saturation caveats are those of the
     fixed-point codec (see {!Tag} and {!Flow_state}). Tie-breaking
-    configuration ([Tag_queue.tie]) belongs to the runtime, not the
-    program: pass it to {!Pifo_sched.create}. *)
+    ([Tag_queue.tie]) belongs to the runtime: pass it to
+    {!Pifo_sched.create}. Flow ids must be [>= 0] (the runtime's
+    admission check). *)
 
 open Sfq_base
+
+(** {1 Float programs} *)
+
+val scfq_float : Weights.t -> Rank_program.t
+(** Self-Clocked Fair Queuing (Golestani): rank = finish tag
+    [max (v, F_prev) + l/r], [v] = the finish tag of the packet in
+    service, the idle poll ends the busy period ([v] and every finish
+    tag restart at 0). Fairness as SFQ's; a packet can wait
+    [Σ_{n≠f} l_n^max / C] longer than under WFQ (eq. 56, the [scfq-gap]
+    experiment). Prices every packet at the flow's reserved rate, read
+    on every packet. {!Pifo_sched.vtime} is [v]. Name ["scfq"]. *)
+
+val virtual_clock_float : Weights.t -> Rank_program.t
+(** Virtual Clock (Zhang): rank = [EAT + l/r] (eq. 37). WFQ's delay
+    guarantee but unfair: a flow that used idle bandwidth is locked out
+    while competitors catch up (§1.1). Rate overrides replace the flow
+    weight; closing forgets the EAT floor. Name ["virtual-clock"]. *)
+
+val delay_edd_float :
+  (Packet.flow * Sfq_sched.Delay_edd.flow_spec) list -> Rank_program.t
+(** Delay Earliest-Due-Date over Fluctuation Constrained servers (§3,
+    eqs. 66–68): packet [p_f^j] gets deadline [D = EAT(p_f^j) + d_f],
+    earliest deadline first. Theorem 7: if the schedulability condition
+    (eq. 67, {!Sfq_sched.Delay_edd.schedulable}) holds and the server
+    is [(C, δ(C))]-FC, every packet departs by
+    [D + l^max/C + δ(C)/C]. The paper runs Delay EDD inside a
+    hierarchical SFQ class to decouple delay from throughput
+    allocation, so it must work over variable-rate servers. Rate
+    overrides replace the declared rate. The spec survives close; the
+    EAT floor does not.
+    @raise Invalid_argument on an invalid spec, or (at enqueue) on a
+    packet of an undeclared flow (admission control declares flows up
+    front). Name ["delay-edd"]. *)
+
+val fqs_float : capacity:float -> Weights.t -> Rank_program.t
+(** Fair Queuing based on Start-time (Greenberg & Madras): WFQ's fluid
+    GPS tags at assumed [capacity], served by start tag (eq. 1) — SFQ's
+    order with WFQ's clock and blind spot (§2.5). The fluid clock's
+    busy-period guard is the runtime's size; evictions stay charged
+    fluid-side, closing forgets the flow. Name ["fqs"]. *)
+
+val wf2q_float : capacity:float -> Weights.t -> Rank_program.t
+(** Worst-case Fair WFQ (Bennett & Zhang), a {e shaped} program:
+    service rank = GPS finish tag, eligibility rank = GPS start tag,
+    horizon = GPS virtual time + 1e-12. Only packets GPS has begun are
+    eligible (no Example 1 bursts); the runtime serves the smallest
+    start tag when none is (work conservation). Name ["wf2q"]. *)
+
+val lstf_float :
+  ?residual:(Packet.t -> float) -> deadline:(Packet.t -> float) -> unit -> Rank_program.t
+(** Least-Slack-Time-First (Mittal et al., "Universal Packet
+    Scheduling", NSDI '16). A packet's {e deadline} is when it should
+    be delivered under some target schedule, its {e residual} the
+    no-queueing time from starting service here to delivery. Least
+    slack [deadline − residual − t] first is, at any instant, smallest
+    [deadline − residual] first, so that static value (evaluated once,
+    at enqueue) is the rank; [residual] defaults to [fun _ -> 0.0].
+    With deadlines set to a recorded schedule's output times, LSTF
+    replays it packet for packet ({!Sfq_oracle.Replay}, [Net_sweep]).
+    Deadlines carry no ordering promise, so each flow's rank is clamped
+    to a monotone floor (its last rank), keeping per-flow FIFO;
+    eviction keeps the floor, closing forgets it. Ignores the weights.
+    Name ["lstf"]. *)
+
+(** {1 Int programs} *)
 
 val sfq :
   ?busy_rule:Sfq_core.Sfq.busy_rule -> ?frac_bits:int -> Weights.t -> Rank_program.t
@@ -53,21 +126,11 @@ val lstf :
   deadline:(Packet.t -> float) ->
   unit ->
   Rank_program.t
-(** Least-Slack-Time-First ({!Sfq_sched.Lstf} as a rank program): rank
-    = [deadline − residual], quantized through the codec and clamped to
-    a per-flow monotone floor (forgotten on close, kept on evict) so
-    the runtime's within-flow rank invariant holds under arbitrary
-    caller-supplied deadlines. [residual] defaults to [fun _ -> 0.0].
-    Name ["pifo-lstf"]. *)
+(** {!lstf_float}, quantised. Name ["pifo-lstf"]. *)
 
 val fqs : capacity:float -> ?frac_bits:int -> Weights.t -> Rank_program.t
-(** Fair queueing based on start time: rank = the GPS fluid start tag
-    (eq. 1). The program attaches the runtime's size thunk as the
-    fluid clock's busy-period guard. Name ["pifo-fqs"]. *)
+(** {!fqs_float}, quantised. Name ["pifo-fqs"]. *)
 
 val wf2q : capacity:float -> ?frac_bits:int -> Weights.t -> Rank_program.t
-(** Worst-case fair weighted fair queueing, as a {e shaped} program:
-    service rank = GPS finish tag, eligibility rank = GPS start tag,
-    horizon = the GPS virtual time — the runtime's shaper stage
-    reproduces the hand-written two-stage scheduler. Name
-    ["pifo-wf2q"]. *)
+(** {!wf2q_float}, quantised: a shaped int program whose horizon is the
+    encoded GPS virtual time. Name ["pifo-wf2q"]. *)

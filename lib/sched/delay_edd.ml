@@ -1,52 +1,8 @@
-open Sfq_base
-
 type flow_spec = { rate : float; deadline : float; max_len : int }
-
-type t = {
-  specs : (Packet.flow, flow_spec) Hashtbl.t;
-  eat : Eat.t;
-  queue : Tag_queue.t;
-  last_deadline : float Flow_table.t;
-}
 
 let check_spec (flow, { rate; deadline; max_len }) =
   if rate <= 0.0 || deadline <= 0.0 || max_len <= 0 then
     invalid_arg (Printf.sprintf "Delay_edd: invalid spec for flow %d" flow)
-
-let create specs =
-  List.iter check_spec specs;
-  let table = Hashtbl.create 16 in
-  List.iter (fun (f, s) -> Hashtbl.replace table f s) specs;
-  {
-    specs = table;
-    eat = Eat.create ();
-    queue = Tag_queue.create ();
-    last_deadline = Flow_table.create ~default:(fun _ -> nan);
-  }
-
-let spec t flow =
-  match Hashtbl.find_opt t.specs flow with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Delay_edd: undeclared flow %d" flow)
-
-let enqueue t ~now pkt =
-  let { rate; deadline; _ } = spec t pkt.Packet.flow in
-  let rate = match pkt.Packet.rate with Some r -> r | None -> rate in
-  let eat = Eat.on_arrival t.eat ~now ~flow:pkt.Packet.flow ~len:pkt.Packet.len ~rate in
-  let d = eat +. deadline in
-  Flow_table.set t.last_deadline pkt.Packet.flow d;
-  Tag_queue.push t.queue ~tag:d pkt
-
-let dequeue t ~now:_ =
-  match Tag_queue.pop t.queue with None -> None | Some (_, p) -> Some p
-
-let peek t = match Tag_queue.peek t.queue with None -> None | Some (_, p) -> Some p
-let size t = Tag_queue.size t.queue
-let backlog t flow = Tag_queue.backlog t.queue flow
-
-let deadline_of_last t flow =
-  let d = Flow_table.find t.last_deadline flow in
-  if Float.is_nan d then None else Some d
 
 (* Eq. 67 demand, evaluated as a right-limit: the transmission time of
    packets of flow n that are due by [t + ε]. The demand function is a
@@ -97,26 +53,3 @@ let schedulable specs ~capacity ?horizon () =
       List.for_all (fun t -> demand_after specs ~capacity t <= t +. 1e-9) points
     end
   end
-
-let evict t victim flow = Tag_queue.evict t.queue victim flow
-
-(* The spec stays (it is configuration, not state); the EAT floor and
-   last deadline reset so a reopened flow is re-admitted against real
-   time, not its stale reserved-rate schedule. *)
-let close_flow t flow =
-  let flushed = Tag_queue.flush t.queue flow in
-  Eat.reset_flow t.eat flow;
-  Flow_table.remove t.last_deadline flow;
-  flushed
-
-let sched t =
-  {
-    Sched.name = "delay-edd";
-    enqueue = (fun ~now pkt -> enqueue t ~now pkt);
-    dequeue = (fun ~now -> dequeue t ~now);
-    peek = (fun () -> peek t);
-    size = (fun () -> size t);
-    backlog = (fun flow -> backlog t flow);
-    evict = (fun ~now:_ victim flow -> evict t victim flow);
-    close_flow = (fun ~now:_ flow -> close_flow t flow);
-  }

@@ -1,14 +1,8 @@
-(** Delay Earliest-Due-Date over Fluctuation Constrained servers
-    (paper §3, eqs. 66–68).
-
-    On arrival, packet [p_f^j] gets deadline [D = EAT(p_f^j) + d_f];
-    packets are served earliest-deadline-first. Theorem 7: if the
-    schedulability condition (eq. 67) holds and the server is
-    [(C, δ(C))]-FC, every packet departs by
-    [D + l^max/C + δ(C)/C]. The paper uses Delay EDD inside a
-    hierarchical SFQ class to decouple delay from throughput
-    allocation, which is why it must work over variable-rate
-    (FC) servers — the class's bandwidth fluctuates. *)
+(** Delay Earliest-Due-Date admission (paper §3, eqs. 66–68): the
+    per-flow declaration and the schedulability test (eq. 67). The
+    scheduler itself is the rank program
+    [Sfq_pifo.Programs.delay_edd_float] (deadline [EAT + d_f], earliest
+    first; Theorem 7's delay bound holds when {!schedulable} does). *)
 
 open Sfq_base
 
@@ -18,27 +12,9 @@ type flow_spec = {
   max_len : int;  (** l_f^max, bits; used by the schedulability test *)
 }
 
-type t
-
-val create : (Packet.flow * flow_spec) list -> t
-(** @raise Invalid_argument on non-positive rate/deadline/length or on
-    a packet later arriving for an undeclared flow (Delay EDD requires
-    admission control, so flows must be declared up front). *)
-
-val enqueue : t -> now:float -> Packet.t -> unit
-val dequeue : t -> now:float -> Packet.t option
-val peek : t -> Packet.t option
-val size : t -> int
-val backlog : t -> Packet.flow -> int
-
-val deadline_of_last : t -> Packet.flow -> float option
-(** Deadline assigned to the flow's most recent arrival; for tests. *)
-
 val schedulable : (Packet.flow * flow_spec) list -> capacity:float -> ?horizon:float -> unit -> bool
 (** Eq. 67 checked at its critical points
     [t = d_n + k·l_n/r_n, k >= 0] up to [horizon] (default: the point
     past which the condition holds by a utilization argument; requires
     total utilization < 1, otherwise returns [false] unless the
     condition degenerates). *)
-
-val sched : t -> Sched.t

@@ -13,4 +13,3 @@ let on_arrival t ~now ~flow ~len ~rate =
   eat
 
 let reset_flow t flow = Flow_table.remove t.floor flow
-let reset t = Flow_table.clear t.floor

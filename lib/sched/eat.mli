@@ -20,4 +20,3 @@ val on_arrival : t -> now:float -> flow:Packet.flow -> len:int -> rate:float -> 
     packet. *)
 
 val reset_flow : t -> Packet.flow -> unit
-val reset : t -> unit

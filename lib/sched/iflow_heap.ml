@@ -195,6 +195,14 @@ let evict_back t flow =
     if r.len = 0 then heap_remove t flow;
     Some { key; aux; uid; flow; value = v }
 
+let evict t victim flow =
+  let popped =
+    match (victim : Sched.victim) with
+    | Sched.Oldest -> evict_front t flow
+    | Sched.Newest -> evict_back t flow
+  in
+  match popped with None -> None | Some p -> Some p.value
+
 let flush_flow t flow =
   match Flow_table.find_opt t.rings flow with
   | None -> []

@@ -78,6 +78,10 @@ val evict_back : 'a t -> Packet.flow -> 'a popped option
 (** Remove [flow]'s newest queued entry (its tail). O(1) unless the
     flow empties (then its heap entry is removed, O(F)). *)
 
+val evict : 'a t -> Sched.victim -> Packet.flow -> 'a option
+(** {!evict_front} for [Oldest], {!evict_back} for [Newest]: the
+    buffer-policy victim's value. *)
+
 val flush_flow : 'a t -> Packet.flow -> 'a popped list
 (** Remove every queued entry of [flow], oldest first, and discard the
     flow's ring entirely so a recycled id re-grows from scratch.

@@ -2,8 +2,6 @@ open Sfq_base
 
 type tie = Arrival | Low_rate of (Packet.flow -> float) | High_rate of (Packet.flow -> float)
 
-type t = { fh : Packet.t Flow_heap.t; tie : tie }
-
 (* The tie rule collapses to one float per flow, compared ascending:
    weights are positive, so [<] on them (or on their negation for
    High_rate) agrees exactly with the closure comparators the seed
@@ -14,33 +12,3 @@ let tie_value tie flow =
   | Arrival -> 0.0
   | Low_rate w -> w flow
   | High_rate w -> -.w flow
-
-let create ?(tie = Arrival) ?capacity () = { fh = Flow_heap.create ?capacity (); tie }
-
-let push t ~tag pkt =
-  let flow = pkt.Packet.flow in
-  Flow_heap.push t.fh ~flow ~key:tag ~tie:(tie_value t.tie flow) pkt
-
-let pop t =
-  match Flow_heap.pop t.fh with
-  | None -> None
-  | Some p -> Some (p.Flow_heap.key, p.Flow_heap.value)
-
-let peek t =
-  match Flow_heap.peek t.fh with
-  | None -> None
-  | Some p -> Some (p.Flow_heap.key, p.Flow_heap.value)
-
-let size t = Flow_heap.size t.fh
-let backlog t flow = Flow_heap.backlog t.fh flow
-let is_empty t = Flow_heap.is_empty t.fh
-
-let evict t victim flow =
-  let popped =
-    match (victim : Sched.victim) with
-    | Sched.Oldest -> Flow_heap.evict_front t.fh flow
-    | Sched.Newest -> Flow_heap.evict_back t.fh flow
-  in
-  match popped with None -> None | Some p -> Some p.Flow_heap.value
-
-let flush t flow = List.map (fun p -> p.Flow_heap.value) (Flow_heap.flush_flow t.fh flow)

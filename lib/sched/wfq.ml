@@ -15,16 +15,16 @@ type real_clock = {
 
 type clock = Fluid of Gps.t | Real of real_clock
 
-type t = { clock : clock; queue : Tag_queue.t }
+type t = { clock : clock; fh : Packet.t Flow_heap.t; tie : Tag_queue.tie }
 
-let create ~capacity ?(clock = `Fluid) ?tie weights =
-  let queue = Tag_queue.create ?tie () in
+let create ~capacity ?(clock = `Fluid) ?(tie = Tag_queue.Arrival) weights =
+  let fh = Flow_heap.create () in
   let clock =
     match clock with
     | `Fluid ->
       Fluid
         (Gps.create ~capacity
-           ~real_system_empty:(fun () -> Tag_queue.is_empty queue)
+           ~real_system_empty:(fun () -> Flow_heap.is_empty fh)
            weights)
     | `Real ->
       if capacity <= 0.0 then invalid_arg "Wfq.create: capacity must be positive";
@@ -39,7 +39,7 @@ let create ~capacity ?(clock = `Fluid) ?tie weights =
           finish = Flow_table.create ~default:(fun _ -> 0.0);
         }
   in
-  { clock; queue }
+  { clock; fh; tie }
 
 let advance_real rc ~now =
   if rc.sum > 0.0 then rc.v <- rc.v +. ((now -. rc.updated) *. rc.capacity /. rc.sum);
@@ -63,10 +63,11 @@ let enqueue t ~now pkt =
       if n = 0 then rc.sum <- rc.sum +. rate;
       finish_tag
   in
-  Tag_queue.push t.queue ~tag:finish_tag pkt
+  let flow = pkt.Packet.flow in
+  Flow_heap.push t.fh ~flow ~key:finish_tag ~tie:(Tag_queue.tie_value t.tie flow) pkt
 
 let dequeue t ~now =
-  match Tag_queue.pop t.queue with
+  match Flow_heap.pop t.fh with
   | None ->
     (match t.clock with
     | Fluid _ -> () (* the fluid system resets itself per fluid busy period *)
@@ -77,7 +78,7 @@ let dequeue t ~now =
       rc.updated <- now;
       Flow_table.clear rc.finish);
     None
-  | Some (_, p) ->
+  | Some { Flow_heap.value = p; _ } ->
     (match t.clock with
     | Fluid _ -> ()
     | Real rc ->
@@ -91,9 +92,9 @@ let dequeue t ~now =
       end);
     Some p
 
-let peek t = match Tag_queue.peek t.queue with None -> None | Some (_, p) -> Some p
-let size t = Tag_queue.size t.queue
-let backlog t flow = Tag_queue.backlog t.queue flow
+let peek t = match Flow_heap.peek t.fh with None -> None | Some e -> Some e.Flow_heap.value
+let size t = Flow_heap.size t.fh
+let backlog t flow = Flow_heap.backlog t.fh flow
 
 let vtime t ~now =
   match t.clock with
@@ -115,14 +116,14 @@ let real_forget_one rc ~now flow =
   end
 
 let evict t ~now victim flow =
-  match Tag_queue.evict t.queue victim flow with
+  match Flow_heap.evict t.fh victim flow with
   | None -> None
   | Some p ->
     (match t.clock with Fluid _ -> () | Real rc -> real_forget_one rc ~now flow);
     Some p
 
 let close_flow t ~now flow =
-  let flushed = Tag_queue.flush t.queue flow in
+  let flushed = List.map (fun e -> e.Flow_heap.value) (Flow_heap.flush_flow t.fh flow) in
   (match t.clock with
   | Fluid gps -> Gps.forget_flow gps ~now flow
   | Real rc ->

@@ -6,6 +6,8 @@
 open Sfq_base
 open Sfq_core
 open Sfq_sched
+module Pifo_sched = Sfq_pifo.Pifo_sched
+module Programs = Sfq_pifo.Programs
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -247,13 +249,14 @@ let test_edd_leaf () =
      by deadline even though inter-class order is SFQ. *)
   let h = Hsfq.create () in
   let edd =
-    Delay_edd.create
-      [
-        (1, { Delay_edd.rate = 10.0; deadline = 5.0; max_len = 10 });
-        (2, { Delay_edd.rate = 10.0; deadline = 1.0; max_len = 10 });
-      ]
+    Pifo_sched.create
+      (Programs.delay_edd_float
+         [
+           (1, { Delay_edd.rate = 10.0; deadline = 5.0; max_len = 10 });
+           (2, { Delay_edd.rate = 10.0; deadline = 1.0; max_len = 10 });
+         ])
   in
-  let l = Hsfq.add_leaf h ~parent:(Hsfq.root h) ~weight:1.0 (Delay_edd.sched edd) in
+  let l = Hsfq.add_leaf h ~parent:(Hsfq.root h) ~weight:1.0 (Pifo_sched.sched edd) in
   Hsfq.set_classifier h (fun _ -> l);
   Hsfq.enqueue h ~now:0.0 (pkt ~flow:1 ~seq:1 ~len:10 ());
   Hsfq.enqueue h ~now:0.0 (pkt ~flow:2 ~seq:1 ~len:10 ());

@@ -8,13 +8,15 @@
    or scheduler bug. Multi-hop: the UPS criterion (no packet later than
    recorded) over the E27 grid, SFQ as the diverging negative control.
    Seeded mutants (lstf-wrong-slack, lstf-priority-tie) must die at
-   every domain count, and the Lstf discipline's lifecycle semantics
+   every domain count, and the LSTF program's lifecycle semantics
    (monotone rank floor through evict, forgotten at close) get the same
    battery as the PR 5 robustness suite. *)
 
 open Sfq_base
 open Sfq_oracle
-module Lstf = Sfq_sched.Lstf
+module Pifo_sched = Sfq_pifo.Pifo_sched
+module Programs = Sfq_pifo.Programs
+module Rank_program = Sfq_pifo.Rank_program
 module Tag_queue = Sfq_sched.Tag_queue
 module Net_sweep = Sfq_experiments.Net_sweep
 module Lr = Sfq_experiments.Lstf_replay
@@ -388,58 +390,65 @@ let prop_net_replay_reflexive =
 
 (* deadline rides in [born], so each packet's target is explicit *)
 let dpkt flow seq deadline = Packet.make ~flow ~seq ~len:1000 ~born:deadline ()
-let mk_lstf () = Lstf.create ~deadline:(fun p -> p.Packet.born) ()
+
+(* The runtime and the program's float register: after an enqueue,
+   [fkey] is the rank the packet entered at. *)
+let mk_lstf () =
+  let prog = Programs.lstf_float ~deadline:(fun p -> p.Packet.born) () in
+  match prog.Rank_program.keys with
+  | Rank_program.Float k -> (Pifo_sched.create prog, k.fregs)
+  | Rank_program.Int _ -> Alcotest.fail "lstf_float is a float program"
 
 let test_floor_clamps_undercutting_deadline () =
-  let t = mk_lstf () in
-  Lstf.enqueue t ~now:0.0 (dpkt 1 1 10.0);
-  check_bool "floor tracks the last rank" true (Lstf.last_rank t 1 = Some 10.0);
-  Alcotest.(check (float 0.0)) "undercutting deadline clamps to the floor" 10.0
-    (Lstf.rank t (dpkt 1 2 5.0));
-  Lstf.enqueue t ~now:0.0 (dpkt 1 2 5.0);
-  check_bool "floor never rolls back" true (Lstf.last_rank t 1 = Some 10.0);
+  let t, r = mk_lstf () in
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 1 10.0);
+  check_bool "floor tracks the last rank" true (r.fkey = 10.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 2 5.0);
+  Alcotest.(check (float 0.0)) "undercutting deadline clamps to the floor" 10.0 r.fkey;
+  check_bool "floor never rolls back" true (r.fkey = 10.0);
   (* a later deadline raises the floor *)
-  Lstf.enqueue t ~now:0.0 (dpkt 1 3 12.0);
-  check_bool "floor advances" true (Lstf.last_rank t 1 = Some 12.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 3 12.0);
+  check_bool "floor advances" true (r.fkey = 12.0);
   (* per-flow FIFO survives the non-monotone deadlines *)
   let order =
-    List.map (fun p -> p.Packet.seq) (Sched.drain (Lstf.sched t) ~now:0.0)
+    List.map (fun p -> p.Packet.seq) (Sched.drain (Pifo_sched.sched t) ~now:0.0)
   in
   check_bool "per-flow FIFO" true (order = [ 1; 2; 3 ])
 
 let test_evict_keeps_floor () =
-  let t = mk_lstf () in
-  Lstf.enqueue t ~now:0.0 (dpkt 1 1 10.0);
-  Lstf.enqueue t ~now:0.0 (dpkt 1 2 20.0);
-  (match Lstf.evict t Sched.Newest 1 with
+  let t, r = mk_lstf () in
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 1 10.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 2 20.0);
+  (match Pifo_sched.evict t Sched.Newest 1 with
   | Some p -> check_int "newest evicted" 2 p.Packet.seq
   | None -> Alcotest.fail "evict found nothing");
   (* the evicted packet's rank stays charged: tags never roll back *)
-  check_bool "floor survives eviction" true (Lstf.last_rank t 1 = Some 20.0);
-  Alcotest.(check (float 0.0)) "next packet enters at the floor" 20.0
-    (Lstf.rank t (dpkt 1 3 5.0));
-  match Lstf.evict t Sched.Oldest 1 with
+  check_bool "floor survives eviction" true (r.fkey = 20.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 3 5.0);
+  Alcotest.(check (float 0.0)) "next packet enters at the floor" 20.0 r.fkey;
+  match Pifo_sched.evict t Sched.Oldest 1 with
   | Some p ->
     check_int "oldest evicted" 1 p.Packet.seq;
-    check_bool "floor survives emptying the flow" true
-      (Lstf.last_rank t 1 = Some 20.0)
+    ignore (Pifo_sched.evict t Sched.Oldest 1);
+    check_int "flow emptied" 0 (Pifo_sched.backlog t 1);
+    Pifo_sched.enqueue t ~now:0.0 (dpkt 1 4 5.0);
+    check_bool "floor survives emptying the flow" true (r.fkey = 20.0)
   | None -> Alcotest.fail "evict found nothing"
 
 let test_close_forgets_floor () =
-  let t = mk_lstf () in
-  Lstf.enqueue t ~now:0.0 (dpkt 1 1 10.0);
-  Lstf.enqueue t ~now:0.0 (dpkt 1 2 11.0);
-  Lstf.enqueue t ~now:0.0 (dpkt 2 1 5.0);
-  let flushed = Lstf.close_flow t 1 in
+  let t, r = mk_lstf () in
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 1 10.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 2 11.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 2 1 5.0);
+  let flushed = Pifo_sched.close_flow t ~now:0.0 1 in
   check_bool "flushed oldest first" true
     (List.map (fun p -> p.Packet.seq) flushed = [ 1; 2 ]);
-  check_bool "floor forgotten" true (Lstf.last_rank t 1 = None);
   (* the reopened flow re-enters on raw deadlines: 3.0 now beats flow
-     2's 5.0, where the stale floor (10.0) would have lost *)
-  Lstf.enqueue t ~now:0.0 (dpkt 1 5 3.0);
-  check_bool "reopened floor is the raw rank" true
-    (Lstf.last_rank t 1 = Some 3.0);
-  match Lstf.dequeue t ~now:0.0 with
+     2's 5.0, where the stale floor (11.0) would have lost *)
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 5 3.0);
+  check_bool "floor forgotten" true (r.fkey < 11.0);
+  check_bool "reopened floor is the raw rank" true (r.fkey = 3.0);
+  match Pifo_sched.dequeue t ~now:0.0 with
   | Some p -> check_int "reopened flow serves first" 1 p.Packet.flow
   | None -> Alcotest.fail "dequeue found nothing"
 
@@ -447,12 +456,12 @@ let test_stale_floor_before_close_loses () =
   (* the other half of the reopen contract: without close_flow, the
      floor from deadline 10 makes the late packet rank 10 and flow 2
      (rank 5) wins *)
-  let t = mk_lstf () in
-  Lstf.enqueue t ~now:0.0 (dpkt 1 1 10.0);
-  ignore (Lstf.dequeue t ~now:0.0);
-  Lstf.enqueue t ~now:0.0 (dpkt 2 1 5.0);
-  Lstf.enqueue t ~now:0.0 (dpkt 1 2 3.0);
-  match Lstf.dequeue t ~now:0.0 with
+  let t, _ = mk_lstf () in
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 1 10.0);
+  ignore (Pifo_sched.dequeue t ~now:0.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 2 1 5.0);
+  Pifo_sched.enqueue t ~now:0.0 (dpkt 1 2 3.0);
+  match Pifo_sched.dequeue t ~now:0.0 with
   | Some p -> check_int "clamped flow waits" 2 p.Packet.flow
   | None -> Alcotest.fail "dequeue found nothing"
 
@@ -460,36 +469,37 @@ let test_residual_and_ties () =
   (* rank = deadline − residual; equal ranks break FIFO by default and
      by the tie override when given *)
   let mk ?tie () =
-    Lstf.create ?tie
-      ~residual:(fun p -> float_of_int p.Packet.len /. 1000.0)
-      ~deadline:(fun p -> p.Packet.born)
-      ()
+    Pifo_sched.create ?tie
+      (Programs.lstf_float
+         ~residual:(fun p -> float_of_int p.Packet.len /. 1000.0)
+         ~deadline:(fun p -> p.Packet.born)
+         ())
   in
   let fill t =
     (* ranks: 10 − 1 = 9 and 11 − 2 = 9 — tied *)
-    Lstf.enqueue t ~now:0.0 (Packet.make ~flow:1 ~seq:1 ~len:1000 ~born:10.0 ());
-    Lstf.enqueue t ~now:0.0 (Packet.make ~flow:2 ~seq:1 ~len:2000 ~born:11.0 ())
+    Pifo_sched.enqueue t ~now:0.0 (Packet.make ~flow:1 ~seq:1 ~len:1000 ~born:10.0 ());
+    Pifo_sched.enqueue t ~now:0.0 (Packet.make ~flow:2 ~seq:1 ~len:2000 ~born:11.0 ())
   in
   let t = mk () in
   fill t;
-  (match Lstf.dequeue t ~now:0.0 with
+  (match Pifo_sched.dequeue t ~now:0.0 with
   | Some p -> check_int "FIFO tie-break" 1 p.Packet.flow
   | None -> Alcotest.fail "dequeue found nothing");
   let t2 = mk ~tie:(Tag_queue.High_rate (fun f -> float_of_int f)) () in
   fill t2;
-  match Lstf.dequeue t2 ~now:0.0 with
+  match Pifo_sched.dequeue t2 ~now:0.0 with
   | Some p -> check_int "tie override prefers the higher key" 2 p.Packet.flow
   | None -> Alcotest.fail "dequeue found nothing"
 
 let test_sched_view () =
-  let t = mk_lstf () in
-  let s = Lstf.sched t in
+  let t, _ = mk_lstf () in
+  let s = Pifo_sched.sched t in
   check_bool "named lstf" true (s.Sched.name = "lstf");
   s.Sched.enqueue ~now:0.0 (dpkt 3 1 4.0);
   s.Sched.enqueue ~now:0.0 (dpkt 3 2 6.0);
   check_int "size" 2 (s.Sched.size ());
   check_int "backlog" 2 (s.Sched.backlog 3);
-  check_int "peek is the least rank" 1 (Option.get (Lstf.peek t)).Packet.seq;
+  check_int "peek is the least rank" 1 (Option.get (Pifo_sched.peek t)).Packet.seq;
   ignore (s.Sched.close_flow ~now:0.0 3);
   check_int "close flushes" 0 (s.Sched.size ())
 
@@ -511,7 +521,7 @@ let prop_lifecycle_soup =
     ~name:"per-flow FIFO within each epoch under op soup"
     (QCheck.make ~print:print_lstf_ops lstf_ops_gen)
     (fun ops ->
-      let t = mk_lstf () in
+      let t, _ = mk_lstf () in
       let seqs = Array.make 4 0 in
       let epoch = Array.make 4 0 in
       let served = ref [] in
@@ -527,21 +537,21 @@ let prop_lifecycle_soup =
           match k with
           | 0 | 1 | 2 ->
             seqs.(f) <- seqs.(f) + 1;
-            Lstf.enqueue t ~now:0.0 (dpkt f seqs.(f) (float_of_int d))
+            Pifo_sched.enqueue t ~now:0.0 (dpkt f seqs.(f) (float_of_int d))
           | 3 -> (
-            match Lstf.dequeue t ~now:0.0 with Some p -> serve p | None -> ())
+            match Pifo_sched.dequeue t ~now:0.0 with Some p -> serve p | None -> ())
           | 4 ->
             ignore
-              (Lstf.evict t
+              (Pifo_sched.evict t
                  (if d mod 2 = 0 then Sched.Oldest else Sched.Newest)
                  f)
           | _ ->
-            ignore (Lstf.close_flow t f);
+            ignore (Pifo_sched.close_flow t ~now:0.0 f);
             (* a reopened flow restarts its seq space *)
             epoch.(f) <- epoch.(f) + 1;
             seqs.(f) <- 0)
         ops;
-      List.iter serve (Sched.drain (Lstf.sched t) ~now:0.0);
+      List.iter serve (Sched.drain (Pifo_sched.sched t) ~now:0.0);
       let last = Hashtbl.create 16 in
       List.for_all
         (fun (f, e, seq) ->
