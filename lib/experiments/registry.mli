@@ -43,14 +43,17 @@ val compact : id:string -> ?seed:int -> quick:bool -> unit -> string option
     enough to check in, exact enough to catch silent behavioral drift.
     Provided for ["example-1"] (E1), ["fig-1b"] (E3), ["table-1"]
     (Table 1), ["churn-stress"] (E24), ["pifo-port"] (E26),
-    ["net-sweep"] (E27, one delivery-order digest per topology cell)
-    and ["lstf-replay"] (E28, one replay verdict per recorded
-    schedule); [None] for other ids. *)
+    ["net-sweep"] (E27, one delivery-order digest per topology cell),
+    ["lstf-replay"] (E28, one replay verdict per recorded schedule),
+    ["hier-sharing"] (E9, per-phase class shares) and ["delay-shift"]
+    (E10, measured and bounded maximum delays); [None] for other
+    ids. *)
 
 val golden_corpus : unit -> string
 (** The checked-in golden block ([test/golden/digests.expected]):
     {!compact} of example-1, fig-1b, table-1, churn-stress, pifo-port,
-    net-sweep and lstf-replay under their default seeds (table-1 in quick mode, so
+    net-sweep, lstf-replay, hier-sharing and delay-shift under their
+    default seeds (table-1 in quick mode, so
     [dune runtest] stays fast), plus [#]-comment header lines. Regenerate with
     [sfq-sweep golden > test/golden/digests.expected]; the regression
     test compares everything except [#] lines. *)
