@@ -6,64 +6,64 @@
     leaf classes hold an arbitrary inner discipline ({!Sfq_base.Sched}),
     so a class can internally run SFQ, Delay EDD (for the
     delay/throughput separation of §3), FIFO, or anything else.
+    Because SFQ is fair on variable-rate servers (Theorem 1 makes no
+    assumption about capacity), each subtree sees a fair share of
+    whatever fluctuating bandwidth its parent grants — Example 3's
+    requirement — and by eq. 65 each virtual server is itself an
+    FC/EBF server, so Theorems 2–5 apply at every level.
 
-    Scheduling recurses: the root picks the active child with the
-    smallest start tag, that child picks among its children, and so on
-    down to a leaf. Because SFQ is fair on variable-rate servers
-    (Theorem 1 makes no assumption about capacity), each subtree sees a
-    fair share of whatever fluctuating bandwidth its parent grants —
-    Example 3's requirement — and by eq. 65 each virtual server is
-    itself an FC/EBF server, so Theorems 2–5 apply at every level.
+    Each internal class is a PIFO (Sivaraman et al.'s tree of PIFOs)
+    of its active child edges, ordered by (start tag, activation seq).
+    A dequeue pops the root's minimum edge, recurses into that child,
+    and pushes the edge back if its subtree is still non-empty.
 
     Tag mechanics per child edge: on activation (subtree empty →
     non-empty) [S = max(v_parent, F_prev)]; when the child is selected,
-    its emitted packet's length [l] fixes [F = S + l/w]; if the subtree
-    stays non-empty the next emission gets [S' = F]. The parent's
-    virtual time is the start tag of the child in service, and reverts
-    to the largest serviced finish tag when the class goes idle —
-    ordinary SFQ, one level up. *)
+    its emitted packet's length [l] fixes [F = S + l/w] and
+    [v_parent <- S]; if the subtree stays non-empty the next emission
+    gets [S' = F]. When a subtree empties, its parent's [v] stays at
+    the emission's start tag; only the root, where the server really
+    polls an empty queue, reverts [v] to the largest served finish tag
+    when idle. An [evict] or [close_flow] that empties a subtree takes
+    its edge out of the parent's PIFO, up to the root, and keeps its
+    tags: a class that reopens enters at [max(v, F_prev)] (eq. 4).
 
-open Sfq_base
+    The tree is written once, as {!Make} over a key domain. This module
+    is the float instance; {!Sfq_pifo.Pifo_tree}, beside the {!Sfq_pifo.Tag}
+    codec it needs, is the fixed-point one. *)
 
-type t
-type class_
+module type KEY = Hsfq_intf.KEY
+(** A key domain. Contract: [lt] is a strict total order on tags and
+    [max] agrees with it; [finish s scale ~len] is [F = S + len/w] for
+    the edge whose [scale] came from weight [w]; [decode] maps a tag to
+    virtual-time units. A class PIFO pops the element with the smallest
+    [(tag, seq)]; seqs are unique within one PIFO. *)
+
+module type TREE = Hsfq_intf.TREE
+(** What both instances offer. [Invalid_argument] texts start with the
+    instance's [KEY.name]. *)
+
+module Make (K : KEY) : sig
+  include TREE
+
+  val create : K.codec -> t
+
+  type tag_hook =
+    now:float -> class_id:int -> seq:int -> len:int -> stag:K.tag ->
+    ftag:K.tag -> vtime:K.tag -> unit
+
+  val set_tag_hook : t -> ?active:bool ref -> tag_hook -> unit
+  val clear_tag_hook : t -> unit
+end
+
+(** {1 The float instance}
+
+    Tags are floats, [F = S +. float len /. w], and each class PIFO is
+    an {!Sfq_util.Fheap} keyed on (start tag, [0.], activation seq). *)
+
+include TREE
 
 val create : unit -> t
-
-val root : t -> class_
-
-val add_class : t -> parent:class_ -> weight:float -> class_
-(** New internal class. @raise Invalid_argument if [parent] is a leaf
-    or [weight <= 0]. *)
-
-val add_leaf : t -> parent:class_ -> weight:float -> Sched.t -> class_
-(** New leaf class with the given inner discipline. *)
-
-val set_classifier : t -> (Packet.t -> class_) -> unit
-(** Route packets to leaves. Required before the first [enqueue]. *)
-
-val classifier_by_flow : (Packet.flow * class_) list -> Packet.t -> class_
-(** Convenience classifier: flow-id table.
-    @raise Not_found for an unlisted flow. *)
-
-val enqueue : t -> now:float -> Packet.t -> unit
-(** @raise Invalid_argument if no classifier is set, or
-    [Invalid_argument] if the classifier returns a non-leaf class or a
-    class from another hierarchy. *)
-
-val dequeue : t -> now:float -> Packet.t option
-val peek : t -> Packet.t option
-val size : t -> int
-val backlog : t -> Packet.flow -> int
-val sched : t -> Sched.t
-
-val class_vtime : t -> class_ -> float
-(** Virtual time of an internal class (0 for leaves); for tests. *)
-
-val class_id : t -> class_ -> int
-(** Stable small-int identity of a class: 0 for the root, then in
-    creation order. Trace events use it as the class's track id.
-    @raise Invalid_argument for a class of another hierarchy. *)
 
 type tag_hook =
   now:float -> class_id:int -> seq:int -> len:int -> stag:float ->

@@ -15,15 +15,12 @@ let run ?(capacity = 1.0e6) ?(duration = 30.0) () =
   let sim = Sim.create () in
   let h = Hsfq.create () in
   let class_a = Hsfq.add_class h ~parent:(Hsfq.root h) ~weight:1.0 in
-  let leaf_b =
-    Hsfq.add_leaf h ~parent:(Hsfq.root h) ~weight:1.0 (Sfq_sched.Fifo.sched (Sfq_sched.Fifo.create ()))
+  let fifo_leaf parent =
+    Hsfq.add_leaf h ~parent ~weight:1.0 (Sfq_sched.Fifo.sched (Sfq_sched.Fifo.create ()))
   in
-  let leaf_c =
-    Hsfq.add_leaf h ~parent:class_a ~weight:1.0 (Sfq_sched.Fifo.sched (Sfq_sched.Fifo.create ()))
-  in
-  let leaf_d =
-    Hsfq.add_leaf h ~parent:class_a ~weight:1.0 (Sfq_sched.Fifo.sched (Sfq_sched.Fifo.create ()))
-  in
+  let leaf_b = fifo_leaf (Hsfq.root h) in
+  let leaf_c = fifo_leaf class_a in
+  let leaf_d = fifo_leaf class_a in
   Hsfq.set_classifier h
     (Hsfq.classifier_by_flow [ (flow_c, leaf_c); (flow_d, leaf_d); (flow_b, leaf_b) ]);
   let server =

@@ -98,56 +98,24 @@ let edd_specs weights =
 
 let capacity = 800.0
 
-(* Two-level class tree, flows split odd/even, inner SFQ leaves: the
-   float Hsfq walks child lists, the PIFO tree pops per-class heaps —
-   same physical service order on dyadic input. *)
-let split weights = List.partition (fun (f, _) -> f mod 2 = 0) weights
-
-let float_hier weights =
-  let open Sfq_core in
-  let left, right = split weights in
-  let h = Hsfq.create () in
-  let root = Hsfq.root h in
-  let leaves_under parent flows =
-    List.map
-      (fun (f, r) ->
-        let w = Weights.of_list ~default:1.0 [ (f, r) ] in
-        (f, Hsfq.add_leaf h ~parent ~weight:r (Sfq.sched (Sfq.create w))))
-      flows
+(* Two-level class tree, flows split odd/even: root{200: even flows,
+   100: odd flows}, one leaf per flow at the flow's rate. One builder
+   for both key domains of the class tree. *)
+let hier (type t) (module T : Sfq_core.Hsfq.TREE with type t = t) (h : t) ~leaf weights =
+  let group weight flows =
+    if flows = [] then []
+    else begin
+      let parent = T.add_class h ~parent:(T.root h) ~weight in
+      List.map
+        (fun (f, r) ->
+          (f, T.add_leaf h ~parent ~weight:r (leaf (Weights.of_list ~default:1.0 [ (f, r) ]))))
+        flows
+    end
   in
-  let leaves =
-    (if left = [] then []
-     else leaves_under (Hsfq.add_class h ~parent:root ~weight:200.0) left)
-    @
-    if right = [] then []
-    else leaves_under (Hsfq.add_class h ~parent:root ~weight:100.0) right
-  in
-  Hsfq.set_classifier h (Hsfq.classifier_by_flow leaves);
-  Hsfq.sched h
-
-let pifo_hier weights =
-  let open Sfq_pifo in
-  let left, right = split weights in
-  let h = Pifo_tree.create () in
-  let root = Pifo_tree.root h in
-  let leaves_under parent flows =
-    List.map
-      (fun (f, r) ->
-        let w = Weights.of_list ~default:1.0 [ (f, r) ] in
-        ( f,
-          Pifo_tree.add_leaf h ~parent ~weight:r
-            (Pifo_sched.sched (Pifo_sched.create (Programs.sfq w))) ))
-      flows
-  in
-  let leaves =
-    (if left = [] then []
-     else leaves_under (Pifo_tree.add_class h ~parent:root ~weight:200.0) left)
-    @
-    if right = [] then []
-    else leaves_under (Pifo_tree.add_class h ~parent:root ~weight:100.0) right
-  in
-  Pifo_tree.set_classifier h (Pifo_tree.classifier_by_flow leaves);
-  Pifo_tree.sched h
+  let even, odd = List.partition (fun (f, _) -> f mod 2 = 0) weights in
+  let leaves = List.concat_map (fun (w, flows) -> group w flows) [ (200.0, even); (100.0, odd) ] in
+  T.set_classifier h (T.classifier_by_flow leaves);
+  T.sched h
 
 let run ?(seed = 0x26) () =
   let open Sfq_pifo in
@@ -182,8 +150,12 @@ let run ?(seed = 0x26) () =
         (gen_scenario (seed + 5));
       (let ((weights, _, _) as scenario) = gen_scenario (seed + 6) in
        pair ~disc:"hsfq"
-         ~mk_float:(fun _ -> float_hier weights)
-         ~mk_pifo:(fun _ -> pifo_hier weights)
+         ~mk_float:(fun _ ->
+           hier (module Sfq_core.Hsfq) (Sfq_core.Hsfq.create ()) weights
+             ~leaf:(fun w -> Sfq_core.Sfq.sched (Sfq_core.Sfq.create w)))
+         ~mk_pifo:(fun _ ->
+           hier (module Pifo_tree) (Pifo_tree.create ()) weights ~leaf:(fun w ->
+               p (Programs.sfq w)))
          scenario);
     ]
   in

@@ -54,7 +54,7 @@ let grow h x =
   end
 
 (* Is the loose element (k, tie, uid) strictly below slot [j]? *)
-let lt_slot h k tie uid j =
+let[@inline] lt_slot h k tie uid j =
   let kj = h.keys.(j) in
   k < kj
   || k = kj
@@ -63,10 +63,10 @@ let lt_slot h k tie uid j =
      tie < tj || (tie = tj && uid < h.uids.(j))
 
 (* Is slot [i] strictly below slot [j]? *)
-let lt h i j = lt_slot h h.keys.(i) h.ties.(i) h.uids.(i) j
+let[@inline] lt h i j = lt_slot h h.keys.(i) h.ties.(i) h.uids.(i) j
 
 (* Is slot [j] strictly below the loose element (k, tie, uid)? *)
-let slot_lt h j k tie uid =
+let[@inline] slot_lt h j k tie uid =
   let kj = h.keys.(j) in
   kj < k
   || kj = k

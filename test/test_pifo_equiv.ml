@@ -19,6 +19,7 @@ module Rank_program = Sfq_pifo.Rank_program
 module Pifo = Sfq_pifo.Pifo_sched
 module Programs = Sfq_pifo.Programs
 module Ptree = Sfq_pifo.Pifo_tree
+module Pifo_port = Sfq_experiments.Pifo_port
 module O = Sfq_oracle
 
 let check_bool = Alcotest.(check bool)
@@ -222,63 +223,24 @@ let test_wf2q_program_differential () =
     ties
 
 (* ------------------------------------------------------------------ *)
-(* Hierarchy: the int-tag PIFO tree vs the float class tree, inner
-   SFQ leaves on both sides (float leaves run the float Sfq, tree
-   leaves run the pifo-sfq rank program — each pair is itself
-   differentially identical, so any divergence is the tree's).          *)
-
-let split_classes weights =
-  List.partition (fun (f, _) -> f mod 2 = 0) weights
-
-let float_hier weights =
-  let left_flows, right_flows = split_classes weights in
-  let h = Hsfq.create () in
-  let root = Hsfq.root h in
-  let leaves_under parent flows =
-    List.map
-      (fun (f, r) ->
-        let w = Weights.of_list ~default:1.0 [ (f, r) ] in
-        (f, Hsfq.add_leaf h ~parent ~weight:r (Sfq.sched (Sfq.create w))))
-      flows
-  in
-  let leaves =
-    (if left_flows = [] then []
-     else leaves_under (Hsfq.add_class h ~parent:root ~weight:200.0) left_flows)
-    @
-    if right_flows = [] then []
-    else leaves_under (Hsfq.add_class h ~parent:root ~weight:100.0) right_flows
-  in
-  Hsfq.set_classifier h (Hsfq.classifier_by_flow leaves);
-  Hsfq.sched h
-
-let pifo_hier weights =
-  let left_flows, right_flows = split_classes weights in
-  let h = Ptree.create () in
-  let root = Ptree.root h in
-  let leaves_under parent flows =
-    List.map
-      (fun (f, r) ->
-        let w = Weights.of_list ~default:1.0 [ (f, r) ] in
-        (f, Ptree.add_leaf h ~parent ~weight:r (pifo (Programs.sfq w))))
-      flows
-  in
-  let leaves =
-    (if left_flows = [] then []
-     else leaves_under (Ptree.add_class h ~parent:root ~weight:200.0) left_flows)
-    @
-    if right_flows = [] then []
-    else leaves_under (Ptree.add_class h ~parent:root ~weight:100.0) right_flows
-  in
-  Ptree.set_classifier h (Ptree.classifier_by_flow leaves);
-  Ptree.sched h
+(* Hierarchy: the class tree's fixed-point instance vs its float
+   instance, inner SFQ leaves on both sides (float Sfq vs the pifo-sfq
+   rank program — each pair is itself differentially identical). Both
+   trees run Hsfq.Make, so this checks the two key domains agree; the
+   shared tree logic is held to test_order_equiv's class-tree
+   lifecycle pin and the E9/E10 golden rows instead.                    *)
 
 let test_hsfq_tree_differential () =
   for seed = 1 to 20 do
     let name = Printf.sprintf "hsfq seed %d" seed in
     let ((weights, _, _) as scenario) = gen_scenario ((seed * 6101) + 6) in
     run_differential ~name
-      (fun _ -> float_hier weights)
-      (fun _ -> pifo_hier weights)
+      (fun _ ->
+        Pifo_port.hier (module Hsfq) (Hsfq.create ()) weights ~leaf:(fun w ->
+            Sfq.sched (Sfq.create w)))
+      (fun _ ->
+        Pifo_port.hier (module Ptree) (Ptree.create ()) weights ~leaf:(fun w ->
+            pifo (Programs.sfq w)))
       scenario
   done
 
